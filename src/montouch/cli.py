@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,14 +28,6 @@ from .errors import ConvergenceError, ParseError
 from .hilbert import as_operator, invert, orthonormal_range
 from .monotone import SubspaceRestrictedOracle, is_mu_unmonotone
 from .touching import fixed_point, touch
-
-DEFAULT_SOLVER = {
-    "tolerance": 1e-10,
-    "max_iterations": 100000,
-    "gamma": "auto",
-    "seed": 0,
-}
-
 
 @dataclass
 class SolverSettings:
@@ -170,7 +162,7 @@ def parse_problem(path):
              "sets must be a list with at least two entries")
     sets = [_build_set(entry, dim, f"sets[{i}]") for i, entry in enumerate(raw_sets)]
 
-    solver = dict(DEFAULT_SOLVER)
+    solver = asdict(SolverSettings())
     raw_solver = doc.get("solver", {})
     _require(isinstance(raw_solver, dict), "solver must be an object")
     for key in raw_solver:
@@ -279,10 +271,9 @@ def execute(command, args):
                 oracle, problem.displacement_on_range, lam,
                 tol=settings.tolerance, max_iter=settings.max_iterations,
             )
-        basis = problem.range_space.basis
         outputs = {
-            "d": basis @ res.d,
-            "e": basis @ res.e,
+            "d": res.d,
+            "e": res.e,
             "gamma": res.gamma,
             "mu": res.mu,
             "lambda": lam,
@@ -310,7 +301,6 @@ def execute(command, args):
         report = verify_identities(
             problem, solution, n_directions=directions, seed=settings.seed
         )
-        solution.identity_report = report
         outputs = {
             "d": solution.d,
             "e": solution.e,

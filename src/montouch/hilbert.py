@@ -1,9 +1,9 @@
-"""Dense real linear algebra: validated vectors and operators, orthonormal
+"""Real linear algebra: validated vectors and operators, orthonormal
 subspaces, spectral quantities, and condition-gated inversion.
 
 Everything is float64.  Vectors are plain 1-d arrays and operators plain 2-d
-arrays; the validators below are the single entry point for shape and
-finiteness checks.
+arrays or ``BlockCirculant`` maps; the validators below are the single entry
+point for shape and finiteness checks.
 """
 
 from dataclasses import dataclass
@@ -32,8 +32,41 @@ def as_vector(x, dim=None):
     return v
 
 
+class BlockCirculant:
+    """Linear map on R^{Nm}, x = (x_1, ..., x_N) with x_i in R^m, that is a
+    circulant in the block index.  ``spectrum[k]`` is its eigenvalue on the
+    k-th DFT mode (numpy's ``fft`` convention) and must be conjugate-symmetric,
+    so that the map is real.  The map is normal: its singular values are
+    |spectrum| and its symmetric part has eigenvalues Re(spectrum)."""
+
+    def __init__(self, spectrum, block_dim):
+        self.spectrum = np.asarray(spectrum, dtype=complex)
+        if self.spectrum.ndim != 1 or not np.all(np.isfinite(self.spectrum)):
+            raise ValueError("spectrum must be a finite 1-d array")
+        self.block_dim = int(block_dim)
+        self.shape = (self.spectrum.size * self.block_dim,) * 2
+
+    @property
+    def T(self):
+        return BlockCirculant(self.spectrum.conj(), self.block_dim)
+
+    def __matmul__(self, other):
+        if isinstance(other, BlockCirculant):
+            return BlockCirculant(self.spectrum * other.spectrum, self.block_dim)
+        blocks = np.fft.fft(np.reshape(other, (self.spectrum.size, self.block_dim)), axis=0)
+        return np.fft.ifft(blocks * self.spectrum[:, None], axis=0).real.ravel()
+
+    def __add__(self, other):
+        return BlockCirculant(self.spectrum + other.spectrum, self.block_dim)
+
+    def __rmul__(self, scalar):
+        return BlockCirculant(scalar * self.spectrum, self.block_dim)
+
+
 def as_operator(a, square=False):
     """Coerce to a finite 2-d float array, optionally requiring squareness."""
+    if isinstance(a, BlockCirculant):
+        return a
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d operator, got shape {m.shape}")
@@ -72,6 +105,10 @@ class Subspace:
     def rank(self):
         return self.basis.shape[1]
 
+    def project(self, x):
+        """Orthogonal projection of the vector ``x`` onto the subspace."""
+        return self.basis @ (self.basis.T @ x)
+
 
 def orthonormal_range(a, rank_tol=RANK_TOL):
     """Orthonormal basis of the range of ``a`` via SVD.
@@ -89,13 +126,13 @@ def orthonormal_range(a, rank_tol=RANK_TOL):
 
 def project_onto(subspace, x):
     """Orthogonal projection of ``x`` onto ``subspace``."""
-    v = as_vector(x, dim=subspace.ambient_dim)
-    b = subspace.basis
-    return b @ (b.T @ v)
+    return subspace.project(as_vector(x, dim=subspace.ambient_dim))
 
 
 def operator_norm(a):
     """Largest singular value of ``a``."""
+    if isinstance(a, BlockCirculant):
+        return float(np.abs(a.spectrum).max())
     m = as_operator(a)
     if min(m.shape) == 0:
         return 0.0
@@ -104,6 +141,8 @@ def operator_norm(a):
 
 def max_sym_eigenvalue(a):
     """Largest eigenvalue of the symmetric part (A + A^T) / 2."""
+    if isinstance(a, BlockCirculant):
+        return float(a.spectrum.real.max())
     m = as_operator(a, square=True)
     sym = 0.5 * (m + m.T)
     return float(np.linalg.eigvalsh(sym)[-1])
@@ -118,11 +157,12 @@ def invert(a, cond_tol=COND_TOL):
     m = as_operator(a, square=True)
     if m.shape[0] == 0:
         return m.copy()
-    s = np.linalg.svd(m, compute_uv=False)
-    ratio = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+    circulant = isinstance(m, BlockCirculant)
+    s = np.abs(m.spectrum) if circulant else np.linalg.svd(m, compute_uv=False)
+    ratio = float(s.min() / s.max()) if s.max() > 0.0 else 0.0
     if ratio <= cond_tol:
         raise SingularOperatorError(
             f"operator is numerically singular: sigma_min/sigma_max = {ratio:.3e}"
             f" <= {cond_tol:.1e}"
         )
-    return np.linalg.inv(m)
+    return BlockCirculant(1.0 / m.spectrum, m.block_dim) if circulant else np.linalg.inv(m)

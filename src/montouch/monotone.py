@@ -2,7 +2,8 @@
 
 Three oracle kinds are provided: subdifferentials of proximable functions,
 monotone linear maps, and subdifferentials of a proximable function
-restricted to a subspace (resolved by a Dykstra-style scheme, ``sum_prox``).
+restricted to a subspace, in ambient coordinates (resolved by a
+Dykstra-style scheme, ``sum_prox``).
 The module also certifies strong anti-monotonicity of a linear map
 (``is_mu_unmonotone``) and converts a quadratic-form bound into the
 anti-monotonicity modulus used by the touching solver
@@ -137,12 +138,9 @@ class LinearMonotoneOracle(ResolventOracle):
 
 
 class SubspaceRestrictedOracle(ResolventOracle):
-    """M = subdifferential of (fn + indicator of a subspace), seen in the
-    coordinates of an orthonormal basis of that subspace.
-
-    Points are rank-dimensional coordinate vectors; each resolvent call
-    runs ``sum_prox`` in the ambient space and maps back.
-    """
+    """M = subdifferential of (fn + indicator of a subspace), in the ambient
+    coordinates of ``fn``.  Each resolvent call is one ``sum_prox``, which
+    needs only ``ambient_dim`` and ``project`` of the subspace."""
 
     def __init__(self, fn, subspace, inner_tol=SUM_PROX_TOL, inner_max_iter=SUM_PROX_MAX_ITER):
         if not isinstance(fn, ProxFunction):
@@ -153,20 +151,17 @@ class SubspaceRestrictedOracle(ResolventOracle):
         self.subspace = subspace
         self.inner_tol = float(inner_tol)
         self.inner_max_iter = int(inner_max_iter)
-        self.dim = subspace.rank
+        self.dim = subspace.ambient_dim
 
     def resolvent(self, lam, x):
-        c = as_vector(x, dim=self.dim)
-        v = self.subspace.basis @ c
         try:
-            z = sum_prox(self.fn, self.subspace, lam, v,
-                         tol=self.inner_tol, max_iter=self.inner_max_iter)
+            return sum_prox(self.fn, self.subspace, lam, x,
+                            tol=self.inner_tol, max_iter=self.inner_max_iter)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"subspace-restricted resolvent stalled at step {float(lam):.3e}: {err}",
                 residual=err.residual, iterations=err.iterations,
             ) from err
-        return self.subspace.basis.T @ z
 
 
 def minty_point(oracle, mu):

@@ -30,8 +30,8 @@ class TouchResult:
     """Touching pair and solve diagnostics.
 
     ``d`` is the domain coordinate, ``e`` the common operator value
-    (e = Q d, e in M d).  ``graph_residual`` is ||e - Q d|| plus the
-    M-inclusion residual measured through one extra resolvent call.
+    (e = Q d, e in M d).  ``graph_residual`` is the M-inclusion residual
+    ||J_{gamma M}(d + gamma e) - d||, from one extra resolvent call.
     ``step_norms`` records ||y_next - y|| per iteration.
     """
 
@@ -81,19 +81,16 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
         raise ValueError("gamma must be positive and finite")
 
     y = np.zeros(oracle.dim) if start is None else as_vector(start, dim=oracle.dim)
-    forward = np.eye(oracle.dim) + gamma * q
     step_norms = []
     for it in range(1, int(max_iter) + 1):
-        y_next = oracle.resolvent(gamma, forward @ y)
+        y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
         step = float(np.linalg.norm(y_next - y))
         step_norms.append(step)
         y = y_next
         if step <= tol * max(1.0, float(np.linalg.norm(y))):
             d = y
             e = q @ d
-            residual = float(np.linalg.norm(e - q @ d)) + _inclusion_residual(
-                oracle, gamma, d, e
-            )
+            residual = _inclusion_residual(oracle, gamma, d, e)
             return TouchResult(
                 d=d, e=e, graph_residual=residual, iterations=it,
                 gamma=gamma, mu=mu, step_norms=step_norms,
@@ -117,7 +114,7 @@ def fixed_point(oracle, t, lam, tol=1e-10, max_iter=100000):
     lam = float(lam)
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
-    gate = max_sym_eigenvalue(0.5 * (t + t.T) + lam * (t.T @ t)) if t.size else 0.0
+    gate = max_sym_eigenvalue(0.5 * (t + t.T) + lam * (t.T @ t)) if t.shape[0] else 0.0
     if gate > SPECTRAL_SLACK:
         raise PreconditionError(
             f"<x, Tx> + lam ||Tx||^2 <= 0 fails: largest eigenvalue of the "

@@ -88,3 +88,9 @@ def random_gate_matrix(rng, dim, lam=0.5, scale=0.25):
 def sample_in(set_, rng, spread=4.0):
     """A point of the set, obtained by projecting a random point."""
     return set_.project(spread * rng.normal(size=set_.ambient_dim))
+
+
+def dense(op):
+    """Matrix of a linear map, built by applying it to the identity columns."""
+    n = op.shape[1]
+    return np.column_stack([op @ col for col in np.eye(n)])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_compact_set, random_gate_matrix, random_prox_function
+from helpers import dense, random_compact_set, random_gate_matrix, random_prox_function
 from montouch import (
     Ball,
     Box,
@@ -30,6 +30,7 @@ from montouch import (
     build_problem,
     classical_cycle,
     cli,
+    cyclic_shift,
     generalized_cycle,
     is_mu_unmonotone,
     isometry_defect,
@@ -306,23 +307,36 @@ def test_criterion_06_minty_reconstruction(report):
 def test_criterion_07_structural_checks(corpus, report):
     rng = np.random.default_rng(29)
     worst_isometry = 0.0
+    worst_shift = 0.0
     worst_quadratic = 0.0
     ranks_ok = True
     for entry in corpus:
         p = entry.problem
-        worst_isometry = max(worst_isometry, isometry_defect(p.shift))
+        reference = cyclic_shift(p.n_sets, p.base_dim)
+        shift = dense(p.shift)
+        displacement = dense(p.displacement)
+        worst_isometry = max(worst_isometry, isometry_defect(shift))
         n = p.n_sets * p.base_dim
+        worst_shift = max(
+            worst_shift,
+            float(np.abs(shift - reference).max()),
+            float(np.abs(displacement - (reference - np.eye(n))).max()),
+        )
         for _ in range(1000 // len(corpus) + 10):
             x = rng.normal(size=n)
             sx = p.displacement @ x
             value = abs(float(x @ sx) + 0.5 * float(sx @ sx))
             worst_quadratic = max(worst_quadratic, value / float(x @ x))
-        if p.range_space.rank != (p.n_sets - 1) * p.base_dim:
+        rank = (p.n_sets - 1) * p.base_dim
+        if p.range_space.rank != rank or np.linalg.matrix_rank(displacement) != rank:
             ranks_ok = False
-    ok = worst_isometry <= 1e-12 and worst_quadratic <= 1e-10 and ranks_ok
+    ok = (worst_isometry <= 1e-12 and worst_shift <= 1e-12
+          and worst_quadratic <= 1e-10 and ranks_ok)
     report(7, ok,
-           f"{len(corpus)} problems: isometry defect <= {worst_isometry:.1e}, "
-           f"quadratic identity <= {worst_quadratic:.1e} relative, ranks exact")
+           f"{len(corpus)} problems: shift and displacement match the dense "
+           f"reference to {worst_shift:.1e}, isometry defect <= "
+           f"{worst_isometry:.1e}, quadratic identity <= {worst_quadratic:.1e} "
+           f"relative, ranks exact")
 
 
 def test_criterion_08_classical_generalized_link(corpus, report):

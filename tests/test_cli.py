@@ -56,8 +56,8 @@ def test_parse_problem_solver_defaults(tmp_path):
                  {"type": "singleton", "point": [1.0]}],
     })
     spec, _ = cli.parse_problem(path)
-    assert spec.solver.tolerance == cli.DEFAULT_SOLVER["tolerance"]
-    assert spec.solver.max_iterations == cli.DEFAULT_SOLVER["max_iterations"]
+    assert spec.solver.tolerance == cli.SolverSettings().tolerance
+    assert spec.solver.max_iterations == cli.SolverSettings().max_iterations
 
 
 @pytest.mark.parametrize("doc, fragment", [
@@ -176,6 +176,29 @@ def test_touch_accepts_lambda_override(capsys):
     # same touching point, smaller certified modulus
     assert np.allclose(doc["outputs"]["d"], [5.0, -5.0], atol=1e-8)
     assert doc["outputs"]["mu"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("command", ["touch", "fixed-point"])
+def test_product_space_gate_decides_exit_status(capsys, command):
+    # the cycle operators meet the quadratic gate exactly at lambda = 1/2
+    code, out, err = run_cli(capsys, command, "--problem", TWO_BALL,
+                             "--lambda", "0.6")
+    assert code == 1 and out == "" and "fails" in err
+    code, _, _ = run_cli(capsys, command, "--problem", TWO_BALL,
+                         "--lambda", "0.5")
+    assert code == 0
+
+
+def test_product_space_commands_skip_dense_linear_algebra(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense product-space linear algebra")
+
+    for module, name in ((np.linalg, "svd"), (np.linalg, "eigvalsh"),
+                         (np.linalg, "inv"), (np, "kron")):
+        monkeypatch.setattr(module, name, forbidden)
+    for command in ("touch", "fixed-point", "cycle", "verify"):
+        code, _, _ = run_cli(capsys, command, "--problem", TWO_BALL)
+        assert code == 0, command
 
 
 def test_cycle_command_with_classical_sweep(capsys):

@@ -11,15 +11,20 @@ from montouch import (
     DegenerateProblemError,
     Halfspace,
     Singleton,
+    SingularOperatorError,
     build_problem,
     classical_cycle,
     cyclic_shift,
     generalized_cycle,
+    invert,
     isometry_defect,
+    max_sym_eigenvalue,
+    operator_norm,
+    orthonormal_range,
     project_onto,
     verify_identities,
 )
-from helpers import random_compact_set
+from helpers import dense, random_compact_set
 
 
 def two_ball_problem():
@@ -55,10 +60,11 @@ def test_cyclic_shift_moves_blocks():
 
 def test_build_problem_two_points_on_line():
     p = build_problem([Singleton([0.0]), Singleton([5.0])])
-    assert np.allclose(p.displacement, [[-1.0, 1.0], [1.0, -1.0]])
+    assert np.allclose(dense(p.displacement), [[-1.0, 1.0], [1.0, -1.0]])
     assert p.range_space.rank == 1
-    assert p.displacement_on_range.shape == (1, 1)
-    assert p.displacement_on_range[0, 0] == pytest.approx(-2.0, abs=1e-12)
+    # S is -2 on its range span{(1, -1)}; T is -2 on the constants as well
+    assert p.displacement_on_range.shape == (2, 2)
+    assert np.allclose(dense(p.displacement_on_range), -2.0 * np.eye(2), atol=1e-12)
 
 
 def test_build_problem_rank_and_isometry():
@@ -66,11 +72,46 @@ def test_build_problem_rank_and_isometry():
         sets = [Ball(np.zeros(m), 1.0) for _ in range(n)]
         p = build_problem(sets)
         assert p.range_space.rank == (n - 1) * m
-        assert isometry_defect(p.shift) <= 1e-12
+        shift = dense(p.shift)
+        assert np.abs(shift - cyclic_shift(n, m)).max() <= 1e-12
+        assert isometry_defect(shift) <= 1e-12
         # constant block vectors span the kernel of the displacement
         c = np.tile(np.arange(1.0, m + 1.0), n)
         assert np.linalg.norm(project_onto(p.range_space, c)) <= 1e-12
         assert np.linalg.norm(p.displacement @ c) <= 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 3)])
+def test_product_space_operators_match_dense_references(n, m):
+    p = build_problem([Ball(np.zeros(m), 1.0) for _ in range(n)])
+    r = cyclic_shift(n, m)
+    s = r - np.eye(n * m)
+    block_mean = np.kron(np.full((n, n), 1.0 / n), np.eye(m))
+    basis = orthonormal_range(s).basis
+    t = p.displacement_on_range
+    t_ref = s - 2.0 * block_mean
+    q = invert(t)
+    pairs = [
+        (p.shift, r),
+        (p.displacement, s),
+        (t, t_ref),
+        (q, np.linalg.pinv(s) - 0.5 * block_mean),
+        # the witness form of fixed_point's gate at lam = 1/2
+        (0.5 * (t + t.T) + 0.5 * (t.T @ t),
+         0.5 * (t_ref + t_ref.T) + 0.5 * (t_ref.T @ t_ref)),
+    ]
+    for op, reference in pairs:
+        assert np.abs(dense(op) - reference).max() <= 1e-12
+        assert operator_norm(op) == pytest.approx(operator_norm(reference), abs=1e-12)
+        assert max_sym_eigenvalue(op) == pytest.approx(
+            max_sym_eigenvalue(reference), abs=1e-12)
+    assert np.abs(dense(q) - invert(t_ref)).max() <= 1e-12
+    for singular in (p.displacement, s):
+        with pytest.raises(SingularOperatorError):
+            invert(singular)
+    projection = np.column_stack(
+        [p.range_space.project(col) for col in np.eye(n * m)])
+    assert np.abs(projection - basis @ basis.T).max() <= 1e-12
 
 
 def test_build_problem_quadratic_identity_sampled():
@@ -106,7 +147,7 @@ def test_two_ball_generalized_cycle_matches_geometry():
     sol = generalized_cycle(p)
     assert np.linalg.norm(sol.d - d_expected) <= 1e-7
     assert np.linalg.norm(sol.e - e_expected) <= 1e-7
-    assert sol.identity_report.passed
+    assert verify_identities(p, sol, n_directions=200).passed
 
 
 def test_two_ball_classical_cycle():
@@ -208,7 +249,6 @@ def test_verify_identities_two_ball_report():
     assert report.residuals["classical_shift_gap"] <= report.thresholds["classical_shift_gap"]
     assert report.residuals["fenchel_energy"] <= 1e-6
     assert report.residuals["conjugate_gap"] <= 1e-4
-    assert report.residuals["isometry_defect"] <= 1e-6
     assert report.details["lower_bound_ok"]
     assert report.details["classical_objective"] == 0.0
 
@@ -224,7 +264,7 @@ def test_verify_identities_flags_perturbed_solution():
     assert not report.passed
     assert report.residuals["range_membership"] > 1e-9
     # a shift inside the range is caught by the classical gap
-    sol.e = e_good + 1e-3 * p.range_space.basis[:, 0]
+    sol.e = e_good + 1e-3 * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     report = verify_identities(p, sol)
     assert not report.passed
 

@@ -56,11 +56,12 @@ def test_linear_monotone_rejects_nonmonotone():
 def test_subspace_restricted_matches_sum_prox():
     fn = SeparableSum((Support(Box([-1.0], [1.0])), Support(Box([-2.0], [2.0]))))
     oracle = SubspaceRestrictedOracle(fn, DIAGONAL)
-    assert oracle.dim == 1
-    c = np.array([3.0])
-    out = oracle.resolvent(0.7, c)
-    direct = sum_prox(fn, DIAGONAL, 0.7, DIAGONAL.basis @ c)
-    assert np.allclose(DIAGONAL.basis @ out, direct, atol=1e-9)
+    assert oracle.dim == 2
+    x = np.array([3.0, -1.0])
+    out = oracle.resolvent(0.7, x)
+    assert np.allclose(out, sum_prox(fn, DIAGONAL, 0.7, x), atol=1e-9)
+    # ambient coordinates: the value lies on the diagonal
+    assert abs(out[0] - out[1]) <= 1e-12
 
 
 def test_resolvents_firmly_nonexpansive_sampled():
