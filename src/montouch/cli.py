@@ -5,12 +5,12 @@ Commands
 check-unmonotone  --matrix FILE --mu X     strong anti-monotonicity check
 touch             --problem FILE [--lambda X]   touching point of the family
 fixed-point       --problem FILE [--lambda X]   same point via M o T
-cycle             --problem FILE [--classical]  generalized cycle / gap vector
-verify            --problem FILE             full identity verification
+cycle             --problem FILE             generalized cycle / gap vector
+verify            --problem FILE             the same plus the classical sweep
 
-Exit status: 0 the run passed its checks, 1 input error, 2 a solver hit its
-iteration cap, 3 the run completed but a check failed.  Reports are
-deterministic for a fixed file and seed except for ``wall_time_ms``.
+Exit status: 0 the run passed its checks, 1 input or usage error, 2 a solver
+hit its iteration cap, 3 the run completed but a check failed.  Reports are
+deterministic for a fixed input file except for ``wall_time_ms``.
 """
 
 import argparse
@@ -34,7 +34,6 @@ class SolverSettings:
     tolerance: float = 1e-10
     max_iterations: int = 100000
     gamma: object = "auto"
-    seed: int = 0
 
 
 @dataclass
@@ -175,7 +174,6 @@ def parse_problem(path):
     gamma = solver["gamma"]
     _require(gamma == "auto" or (isinstance(gamma, (int, float)) and gamma > 0),
              'solver.gamma must be "auto" or a positive number')
-    _require(isinstance(solver["seed"], int), "solver.seed must be an integer")
 
     spec = ProblemSpec(
         base_dimension=dim,
@@ -184,7 +182,6 @@ def parse_problem(path):
             tolerance=float(solver["tolerance"]),
             max_iterations=int(solver["max_iterations"]),
             gamma=gamma if gamma == "auto" else float(gamma),
-            seed=int(solver["seed"]),
         ),
     )
     return spec, digest
@@ -218,8 +215,6 @@ def _apply_overrides(settings, args):
         settings.max_iterations = args.max_iter
     if args.gamma is not None:
         settings.gamma = args.gamma
-    if args.seed is not None:
-        settings.seed = args.seed
 
 
 def _graph_pass(res):
@@ -292,23 +287,18 @@ def execute(command, args):
         solution = generalized_cycle(
             problem, tol=settings.tolerance, max_iter=settings.max_iterations
         )
-        want_classical = command == "verify" or args.classical
-        if want_classical:
+        if command == "verify":
             solution.classical_cycle = classical_cycle(
                 problem, tol=settings.tolerance, max_iter=settings.max_iterations
             )
-        directions = 1000 if command == "verify" else 200
-        report = verify_identities(
-            problem, solution, n_directions=directions, seed=settings.seed
-        )
+        report = verify_identities(problem, solution)
         outputs = {
             "d": solution.d,
             "e": solution.e,
             "conjugate_identity_value": report.details["conjugate_identity_value"],
-            "conjugate_sampled_value": report.details["conjugate_sampled_value"],
             "thresholds": report.thresholds,
         }
-        if want_classical:
+        if command == "verify":
             outputs["classical_cycle"] = solution.classical_cycle
         return Report(
             command=command,
@@ -342,9 +332,8 @@ def build_parser():
     shared.add_argument("--max-iter", type=int, default=None,
                         help="override solver iteration cap")
     shared.add_argument("--gamma", type=_gamma_flag, default=None,
-                        help='override step size ("auto" or a positive number)')
-    shared.add_argument("--seed", type=int, default=None,
-                        help="override sampling seed")
+                        help='override step size ("auto" or a number in the '
+                             'certified interval (0, 2 mu / beta^2))')
     shared.add_argument("--out", default=None,
                         help="also write the JSON report to this file")
 
@@ -364,22 +353,24 @@ def build_parser():
         ("touch", "touching point of the family's product-space operators"),
         ("fixed-point", "the same point computed as a fixed point"),
         ("cycle", "generalized cycle and gap vector"),
-        ("verify", "full identity verification"),
+        ("verify", "generalized cycle plus the classical projection sweep"),
     ):
         p = sub.add_parser(name, parents=[shared], help=extra)
         p.add_argument("--problem", required=True, help="JSON problem file")
         if name in ("touch", "fixed-point"):
             p.add_argument("--lambda", dest="lam", type=float, default=None,
                            help="quadratic-form gate constant (default 0.5)")
-        if name == "cycle":
-            p.add_argument("--classical", action="store_true",
-                           help="also search for a classical projection cycle")
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, but exit
+        # status 2 here means an iteration cap
+        return 0 if exc.code == 0 else 1
     try:
         report = execute(args.command, args)
     except ConvergenceError as err:

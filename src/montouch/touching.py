@@ -64,8 +64,10 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
     """Find the touching point of the monotone oracle and the linear map ``q``.
 
     Requires the quadratic-form gate <y, Qy> <= -lam ||y||^2 (checked
-    spectrally).  Stops once ||y_next - y|| <= tol * max(1, ||y||);
-    hitting the cap raises ConvergenceError with the last step norm.
+    spectrally) and a step ``gamma`` in the certified interval
+    (0, 2 mu / beta^2); ValueError names the interval otherwise.  Stops
+    once ||y_next - y|| <= tol * max(1, ||y||); hitting the cap raises
+    ConvergenceError with the last step norm.
     """
     q = as_operator(q, square=True)
     if q.shape[0] != oracle.dim:
@@ -74,11 +76,14 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
         )
     mu = modulus_from_lambda(q, lam)
     beta = operator_norm(q)
+    limit = 2.0 * mu / beta**2
     if gamma == "auto":
         gamma = mu / beta**2
     gamma = float(gamma)
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError("gamma must be positive and finite")
+    if not 0.0 < gamma < limit:
+        raise ValueError(
+            f"gamma {gamma:.6e} is outside the certified interval (0, {limit:.6e})"
+        )
 
     y = np.zeros(oracle.dim) if start is None else as_vector(start, dim=oracle.dim)
     step_norms = []

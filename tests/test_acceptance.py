@@ -8,7 +8,7 @@ session-scoped corpus of cycle problems so the solvers run once.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from montouch import (
     orthonormal_range,
     project_onto,
     touch,
+    verify_identities,
     verify_touch,
 )
 
@@ -353,10 +354,17 @@ def test_criterion_08_classical_generalized_link(corpus, report):
         worst_projection = max(
             worst_projection,
             float(np.linalg.norm(entry.solution.e - projected)))
-    ok = worst_shift <= 1e-6 and worst_projection <= 1e-6
+    failed = [
+        entry.name for entry in corpus
+        if not verify_identities(
+            entry.problem, replace(entry.solution, classical_cycle=entry.classical)
+        ).passed
+    ]
+    ok = worst_shift <= 1e-6 and worst_projection <= 1e-6 and not failed
     report(8, ok,
            f"{len(with_classical)} classical cycles: shift gap <= "
-           f"{worst_shift:.1e} relative, projection gap <= {worst_projection:.1e}")
+           f"{worst_shift:.1e} relative, projection gap <= {worst_projection:.1e}; "
+           f"identity reports failed on {failed or 'none'} of {len(corpus)}")
 
 
 def test_criterion_09_gate_sharpness(report):

@@ -2,7 +2,7 @@
 
 Fixed problem files live in tests/data; the frozen report in tests/golden
 pins the exact JSON the cycle command must keep producing for a fixed
-input file and seed (all keys except wall_time_ms).
+input file (all keys except wall_time_ms).
 """
 
 import json
@@ -45,7 +45,6 @@ def test_parse_problem_reads_sets_and_solver():
     assert spec.solver.tolerance == 1e-10
     assert spec.solver.max_iterations == 100000
     assert spec.solver.gamma == "auto"
-    assert spec.solver.seed == 0
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
@@ -89,6 +88,11 @@ def test_parse_problem_solver_defaults(tmp_path):
                {"type": "ball", "center": [1.0, 0.0], "radius": 1.0}],
       "solver": {"gamma": -1.0}},
      "solver.gamma"),
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"seed": 0}},
+     "solver.seed is not a recognised option"),
 ])
 def test_parse_problem_names_the_bad_field(tmp_path, doc, fragment):
     path = write_json(tmp_path, "bad.json", doc)
@@ -201,16 +205,6 @@ def test_product_space_commands_skip_dense_linear_algebra(capsys, monkeypatch):
         assert code == 0, command
 
 
-def test_cycle_command_with_classical_sweep(capsys):
-    code, out, _ = run_cli(capsys, "cycle", "--problem", TWO_BALL,
-                           "--classical")
-    doc = json.loads(out)
-    assert code == 0 and doc["pass"] is True
-    assert np.allclose(doc["outputs"]["classical_cycle"],
-                       [1.0, 0.0, 4.0, 0.0], atol=1e-8)
-    assert "classical_shift_gap" in doc["residuals"]
-
-
 def test_verify_command_full_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "--problem", TWO_BALL)
     doc = json.loads(out)
@@ -219,6 +213,7 @@ def test_verify_command_full_report(capsys):
     assert np.allclose(doc["outputs"]["e"], [-1.5, 0.0, 1.5, 0.0], atol=1e-8)
     assert np.allclose(doc["outputs"]["classical_cycle"],
                        [1.0, 0.0, 4.0, 0.0], atol=1e-8)
+    assert "classical_shift_gap" in doc["residuals"]
     for name, value in doc["residuals"].items():
         assert value <= doc["outputs"]["thresholds"][name], name
 
@@ -237,6 +232,31 @@ def test_exit_1_on_unknown_set_type(capsys):
                            "--problem", str(DATA / "unknown_set.json"))
     assert code == 1
     assert "sets[1].type is unknown" in err
+
+
+def test_exit_1_on_usage_error(capsys):
+    code, out, err = run_cli(capsys, "cycle", "--problem", TWO_BALL,
+                             "--seed", "3")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --seed 3" in err
+    code, out, _ = run_cli(capsys, "cycle", "--problem", TWO_BALL, "--classical")
+    assert code == 1 and out == ""
+    code, out, _ = run_cli(capsys, "cycle", "--help")
+    assert code == 0 and "--problem" in out
+
+
+def test_exit_1_on_gamma_outside_certified_interval(capsys, tmp_path):
+    # at gamma = 1000 the forward-backward iteration overflows d to ~1e155
+    rng = np.random.default_rng(5)
+    sets = [{"type": "ball", "center": list(rng.normal(size=2) * 3), "radius": 1.0}
+            for _ in range(5)]
+    path = write_json(tmp_path, "five_ball.json",
+                      {"base_dimension": 2, "sets": sets})
+    code, out, err = run_cli(capsys, "touch", "--problem", path, "--gamma", "1000")
+    assert code == 1 and out == ""
+    assert "certified interval" in err
+    code, _, _ = run_cli(capsys, "touch", "--problem", path)
+    assert code == 0
 
 
 def test_exit_2_on_iteration_cap(capsys):

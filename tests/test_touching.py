@@ -100,8 +100,10 @@ def test_touch_rejects_mismatched_dimensions():
 
 
 def test_touch_rejects_bad_gamma():
-    with pytest.raises(ValueError):
-        touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=0.0)
+    # mu = 1/4 and beta = 1, so the certified interval is (0, 2 mu / beta^2) = (0, 0.5)
+    for gamma in (0.0, 0.5):
+        with pytest.raises(ValueError, match="certified interval"):
+            touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=gamma)
     res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=0.3)
     assert res.d == pytest.approx(1.0, abs=1e-9)
 
