@@ -100,16 +100,10 @@ class Box(ConvexSet):
 
     def support(self, u):
         w = as_vector(u, dim=self.ambient_dim)
-        total = 0.0
-        for wi, lo, hi in zip(w, self.lower, self.upper):
-            if wi > 0.0:
-                total += wi * hi
-            elif wi < 0.0:
-                total += wi * lo
-            # wi == 0 contributes nothing even against an infinite bound
-            if total == math.inf:
-                return math.inf
-        return float(total)
+        # a zero weight contributes nothing even against an infinite bound
+        active = w != 0.0
+        terms = w[active] * np.where(w[active] > 0.0, self.upper[active], self.lower[active])
+        return math.inf if np.any(terms == math.inf) else float(terms.sum())
 
 
 @dataclass(frozen=True)

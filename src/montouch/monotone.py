@@ -142,21 +142,18 @@ class SubspaceRestrictedOracle(ResolventOracle):
     coordinates of ``fn``.  Each resolvent call is one ``sum_prox``, which
     needs only ``ambient_dim`` and ``project`` of the subspace."""
 
-    def __init__(self, fn, subspace, inner_tol=SUM_PROX_TOL, inner_max_iter=SUM_PROX_MAX_ITER):
+    def __init__(self, fn, subspace):
         if not isinstance(fn, ProxFunction):
             raise TypeError("expected a ProxFunction")
         if fn.ambient_dim != subspace.ambient_dim:
             raise ValueError("function and subspace dimensions differ")
         self.fn = fn
         self.subspace = subspace
-        self.inner_tol = float(inner_tol)
-        self.inner_max_iter = int(inner_max_iter)
         self.dim = subspace.ambient_dim
 
     def resolvent(self, lam, x):
         try:
-            return sum_prox(self.fn, self.subspace, lam, x,
-                            tol=self.inner_tol, max_iter=self.inner_max_iter)
+            return sum_prox(self.fn, self.subspace, lam, x)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"subspace-restricted resolvent stalled at step {float(lam):.3e}: {err}",

@@ -7,9 +7,11 @@ from montouch import (
     Box,
     Halfspace,
     Indicator,
+    LinearMonotoneOracle,
     ScaledSquare,
     SeparableSum,
     Singleton,
+    SubdifferentialOracle,
     Support,
     max_sym_eigenvalue,
 )
@@ -83,6 +85,19 @@ def random_gate_matrix(rng, dim, lam=0.5, scale=0.25):
     g = scale * rng.normal(size=(dim, dim))
     shift = max_sym_eigenvalue(g) + lam
     return g - shift * np.eye(dim)
+
+
+def random_touch_instance(rng):
+    """A touching problem (oracle, Q) at lam = 1/2 in R^1 to R^10: a
+    monotone linear map or the normal cone of a compact set, against a
+    random gate matrix."""
+    dim = int(rng.integers(1, 11))
+    if rng.integers(3) == 2:
+        g = rng.normal(size=(dim, dim))
+        oracle = LinearMonotoneOracle(g @ g.T * 0.5)
+    else:
+        oracle = SubdifferentialOracle(Indicator(random_compact_set(rng, dim)))
+    return oracle, random_gate_matrix(rng, dim, lam=0.5)
 
 
 def sample_in(set_, rng, spread=4.0):

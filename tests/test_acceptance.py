@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense, random_compact_set, random_gate_matrix, random_prox_function
+from helpers import (
+    dense,
+    random_compact_set,
+    random_gate_matrix,
+    random_prox_function,
+    random_touch_instance,
+)
 from montouch import (
     Ball,
     Box,
@@ -178,24 +184,25 @@ def test_criterion_03_touching_uniqueness(report):
     rng = np.random.default_rng(7)
     disagreements = 0
     worst = 0.0
+    worst_bound = 0.0
     for trial in range(100):
-        dim = int(rng.integers(1, 11))
-        kind = rng.integers(3)
-        if kind == 2:
-            g = rng.normal(size=(dim, dim))
-            oracle = LinearMonotoneOracle(g @ g.T * 0.5)
-        else:
-            oracle = SubdifferentialOracle(Indicator(random_compact_set(rng, dim)))
-        q = random_gate_matrix(rng, dim, lam=0.5)
+        oracle, q = random_touch_instance(rng)
         res = touch(oracle, q, 0.5)
-        check = verify_touch(oracle, q, res, restarts=5, seed=trial)
-        worst = max(worst, check.residuals["max_deviation"])
-        if not check.passed:
+        check = verify_touch(oracle, q, res)
+        scale = max(1.0, float(np.linalg.norm(res.d)))
+        radius = max(1.0, float(np.linalg.norm(q, 2)))
+        starts = np.random.default_rng(trial).normal(scale=radius, size=(5, oracle.dim))
+        deviation = max(float(np.linalg.norm(touch(oracle, q, 0.5, start=s).d - res.d))
+                        for s in starts)
+        worst = max(worst, deviation)
+        worst_bound = max(worst_bound, check.residuals["error_bound"] / scale)
+        if not check.passed or deviation > 1e-6 * scale:
             disagreements += 1
     ok = disagreements == 0
     report(3, ok,
            f"100 instances x 5 restarts, {disagreements} disagreements, "
-           f"max deviation {worst:.1e}")
+           f"max deviation {worst:.1e}, "
+           f"max certified error bound {worst_bound:.1e} x max(1, |d|)")
 
 
 def test_criterion_04_contraction_rate_bound(report):
@@ -257,8 +264,7 @@ def test_criterion_05_moreau_and_firm_nonexpansiveness(report):
         fn = SeparableSum(tuple(Support(random_compact_set(rng, 2))
                                 for _ in range(2)))
         oracles["subspace_restricted"].append(
-            SubspaceRestrictedOracle(fn, orthonormal_range(shift),
-                                     inner_tol=1e-12))
+            SubspaceRestrictedOracle(fn, orthonormal_range(shift)))
     worst_firm = -np.inf
     for batch in oracles.values():
         for oracle in batch:
@@ -294,7 +300,7 @@ def test_criterion_06_minty_reconstruction(report):
         else:
             fn = SeparableSum(tuple(Support(random_compact_set(rng, 2))
                                     for _ in range(2)))
-            oracle = SubspaceRestrictedOracle(fn, subspace, inner_tol=1e-12)
+            oracle = SubspaceRestrictedOracle(fn, subspace)
         for mu in (0.1, 1.0, 10.0):
             y = minty_point(oracle, mu)
             residual = float(np.linalg.norm(

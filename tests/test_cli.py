@@ -159,6 +159,7 @@ def test_touch_command_on_singletons(capsys):
     assert doc["outputs"]["lambda"] == 0.5
     assert doc["outputs"]["mu"] == pytest.approx(0.4)
     assert doc["residuals"]["graph_residual"] <= 1e-6
+    assert doc["residuals"]["error_bound"] <= 1e-6
 
 
 def test_fixed_point_matches_touch(capsys):
@@ -257,6 +258,35 @@ def test_exit_1_on_gamma_outside_certified_interval(capsys, tmp_path):
     assert "certified interval" in err
     code, _, _ = run_cli(capsys, "touch", "--problem", path)
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["touch", "fixed-point"])
+def test_gamma_override_reaches_the_solve(capsys, command):
+    # two_ball's certified interval is (0, 3.2) and its automatic step 1.6
+    code, out, err = run_cli(capsys, command, "--problem", TWO_BALL, "--gamma", "1000")
+    assert code == 1 and out == "" and "certified interval" in err
+    code, out, _ = run_cli(capsys, command, "--problem", TWO_BALL, "--gamma", "1.0")
+    assert code == 0 and json.loads(out)["outputs"]["gamma"] == 1.0
+
+
+def test_pass_means_certified_distance(capsys, tmp_path):
+    # five balls in R^2 contract at rho ~ 0.94: at --tol 1e-6 the raw
+    # residual is under the threshold while d is 2.2x the threshold away
+    # from the touching point, so only the error bound may decide the pass
+    rng = np.random.default_rng(5)
+    sets = [{"type": "ball", "center": list(rng.normal(size=2) * 3), "radius": 1.0}
+            for _ in range(5)]
+    path = write_json(tmp_path, "five_ball.json", {"base_dimension": 2, "sets": sets})
+    code, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-6")
+    loose = json.loads(out)
+    code_tight, out, _ = run_cli(capsys, "touch", "--problem", path)
+    tight = json.loads(out)
+    threshold = 1e-6 * max(1.0, np.linalg.norm(loose["outputs"]["d"]))
+    error = np.linalg.norm(np.subtract(loose["outputs"]["d"], tight["outputs"]["d"]))
+    assert code == 3 and loose["pass"] is False
+    assert loose["residuals"]["graph_residual"] <= threshold < error
+    assert error <= loose["residuals"]["error_bound"] + tight["residuals"]["error_bound"]
+    assert code_tight == 0 and tight["pass"] is True
 
 
 def test_exit_2_on_iteration_cap(capsys):

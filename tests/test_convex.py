@@ -1,6 +1,7 @@
 """Convex sets and proximable functions: frozen values and sampled laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ def test_box_with_infinite_bounds():
     assert box.support([0.0, 1.0]) == math.inf
     assert box.support([-1.0, 0.0]) == pytest.approx(0.0)
     assert box.support([0.0, -2.0]) == math.inf
+    wide = Box([0.0, -math.inf, -1.0, -math.inf, 2.0], [1.0, 3.0, math.inf, math.inf, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # zero weights face the infinite bounds; the rest are finite
+        assert wide.support([2.0, 1.0, -4.0, 0.0, -1.0]) == pytest.approx(7.0)
+        assert wide.support([-1.0, 0.0, 0.0, 0.0, 3.0]) == pytest.approx(6.0)
+        assert wide.support([0.0, -0.5, 0.0, 0.0, 0.0]) == math.inf
+        assert wide.support([1.0, 0.0, 2.0, 0.0, 0.0]) == math.inf
+        assert wide.support([0.0, 0.0, 0.0, 1e-300, 0.0]) == math.inf
 
 
 def test_box_rejects_inverted_bounds():

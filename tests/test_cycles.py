@@ -98,7 +98,7 @@ def test_product_space_operators_match_dense_references(n, m):
         (p.displacement, s),
         (t, t_ref),
         (q, np.linalg.pinv(s) - 0.5 * block_mean),
-        # the witness form of fixed_point's gate at lam = 1/2
+        # the form <x, Tx> + lam ||Tx||^2 of fixed_point's hypothesis at lam = 1/2
         (0.5 * (t + t.T) + 0.5 * (t.T @ t),
          0.5 * (t_ref + t_ref.T) + 0.5 * (t_ref.T @ t_ref)),
     ]

@@ -72,7 +72,6 @@ def test_resolvents_firmly_nonexpansive_sampled():
         SubspaceRestrictedOracle(
             SeparableSum((Support(Box([-1.0], [1.0])), ScaledSquare(1.0, 1))),
             DIAGONAL,
-            inner_tol=1e-12,
         ),
     ]
     for oracle in oracles:

@@ -19,7 +19,7 @@ from montouch import (
     touch,
     verify_touch,
 )
-from helpers import random_gate_matrix, random_monotone_matrix
+from helpers import random_gate_matrix, random_monotone_matrix, random_touch_instance
 
 
 class ShiftedAbsOracle(ResolventOracle):
@@ -115,6 +115,34 @@ def test_touch_iteration_cap():
     assert math.isfinite(info.value.residual)
 
 
+def test_touch_raises_on_non_finite_iterate():
+    class ConstantOracle(ResolventOracle):
+        dim = 1
+
+        def __init__(self, value):
+            self.value = value
+
+        def resolvent(self, lam, x):
+            return np.array([self.value])
+
+    for value in (math.inf, math.nan):
+        with pytest.raises(ConvergenceError, match="non-finite") as info:
+            touch(ConstantOracle(value), [[-1.0]], 0.5)
+        assert info.value.iterations == 1
+
+
+def test_touch_error_bound_covers_true_error():
+    # the true error of a loose solve can far exceed its raw residual; the
+    # certified bound ||F(d) - d|| / (1 - rho) must still cover it
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        oracle, q = random_touch_instance(rng)
+        loose = touch(oracle, q, 0.5, tol=1e-4)
+        tight = touch(oracle, q, 0.5, tol=1e-13)
+        gap = float(np.linalg.norm(loose.d - tight.d))
+        assert gap <= loose.error_bound + tight.error_bound
+
+
 def test_touch_contraction_bound_linear_instances():
     rng = np.random.default_rng(97)
     for _ in range(10):
@@ -153,8 +181,28 @@ def test_verify_touch_passes_on_correct_result():
     res = touch(oracle, q, 0.5)
     report = verify_touch(oracle, q, res)
     assert report.passed
-    assert report.residuals["max_deviation"] <= report.thresholds["max_deviation"]
-    assert not report.details["failed_restarts"]
+    assert report.residuals["error_bound"] <= report.thresholds["error_bound"]
+    assert report.residuals["error_bound"] == pytest.approx(res.error_bound)
+
+
+def test_verify_touch_makes_one_resolvent_call():
+    class CountingOracle(ResolventOracle):
+        def __init__(self, inner):
+            self.inner = inner
+            self.dim = inner.dim
+            self.calls = 0
+
+        def resolvent(self, lam, x):
+            self.calls += 1
+            return self.inner.resolvent(lam, x)
+
+    rng = np.random.default_rng(101)
+    q = random_gate_matrix(rng, 4, lam=0.5)
+    oracle = CountingOracle(LinearMonotoneOracle(random_monotone_matrix(rng, 4)))
+    res = touch(oracle, q, 0.5)
+    oracle.calls = 0
+    assert verify_touch(oracle, q, res).passed
+    assert oracle.calls == 1
 
 
 def test_verify_touch_flags_perturbed_result():
@@ -165,6 +213,12 @@ def test_verify_touch_flags_perturbed_result():
     report = verify_touch(oracle, q, res)
     assert not report.passed
     assert report.residuals["graph_residual"] == pytest.approx(1e-3, rel=0.2)
+    # a step at the end of the certified interval (0, 0.5) certifies nothing
+    res = touch(oracle, q, 0.5)
+    res.gamma = 0.5
+    report = verify_touch(oracle, q, res)
+    assert not report.passed
+    assert report.residuals["error_bound"] == math.inf
 
 
 def test_verify_touch_rejects_mismatched_dimensions():
