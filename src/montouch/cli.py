@@ -260,7 +260,7 @@ def execute(command, args):
             "d": res.d,
             "e": res.e,
             "gamma": res.gamma,
-            "mu": res.mu,
+            "rho": res.rho,
             "lambda": lam,
         }
         return Report(
@@ -326,7 +326,9 @@ def build_parser():
                         help="override solver iteration cap")
     shared.add_argument("--gamma", type=_gamma_flag, default=None,
                         help='override step size ("auto" or a number in the '
-                             'certified interval (0, 2 mu / beta^2))')
+                             'certified interval (0, 2 lam / beta^2), where '
+                             'lam = -max eig sym(Q) and beta = ||Q||; touch '
+                             'and fixed-point only')
     shared.add_argument("--out", default=None,
                         help="also write the JSON report to this file")
 
@@ -352,7 +354,8 @@ def build_parser():
         p.add_argument("--problem", required=True, help="JSON problem file")
         if name in ("touch", "fixed-point"):
             p.add_argument("--lambda", dest="lam", type=float, default=None,
-                           help="quadratic-form gate constant (default 0.5)")
+                           help="quadratic-form gate constant (default 0.5); "
+                                "it only gates, the step uses -max eig sym(Q)")
 
     return parser
 

@@ -23,29 +23,9 @@ import numpy as np
 
 from .convex import ConvexSet, Indicator, SeparableSum, Support
 from .errors import DegenerateProblemError
-from .hilbert import BlockCirculant, as_operator, as_vector, project_onto
+from .hilbert import BlockCirculant, as_vector, project_onto
 from .monotone import SubspaceRestrictedOracle, sum_prox
 from .touching import VerificationReport, fixed_point
-
-
-def cyclic_shift(n_sets, block_dim):
-    """Dense reference matrix of the block cyclic shift (x_1, ..., x_N) -> (x_N, x_1, ...)."""
-    n_sets = int(n_sets)
-    block_dim = int(block_dim)
-    if n_sets < 1 or block_dim < 1:
-        raise ValueError("n_sets and block_dim must be positive")
-    perm = np.zeros((n_sets, n_sets))
-    perm[0, n_sets - 1] = 1.0
-    for i in range(1, n_sets):
-        perm[i, i - 1] = 1.0
-    return np.kron(perm, np.eye(block_dim))
-
-
-def isometry_defect(a):
-    """max |A^T A - I|, zero exactly for isometries."""
-    m = as_operator(a, square=True)
-    gram = m.T @ m - np.eye(m.shape[0])
-    return float(np.abs(gram).max()) if gram.size else 0.0
 
 
 class ZeroSumSubspace:
@@ -87,12 +67,15 @@ class CycleProblem:
 @dataclass
 class CycleSolution:
     """Generalized cycle ``e``, gap vector ``d`` = S e (both in R^{Nm}),
-    and an optional classical projection cycle."""
+    and an optional classical projection cycle.  ``error_bound``, when the
+    solver attaches one, is the certified bound on the distance from ``d``
+    to the exact gap vector (``TouchResult.error_bound`` of the solve)."""
 
     e: np.ndarray
     d: np.ndarray
     classical_cycle: np.ndarray = None
     iterations: int = 0
+    error_bound: float = None
 
 
 def build_problem(sets):
@@ -137,15 +120,18 @@ def generalized_cycle(problem, tol=1e-10, max_iter=100000):
     """Compute the generalized cycle and gap vector of the family.
 
     Solves the fixed-point problem e in (subdifferential of the support
-    sum restricted to ran S)(T e) and sets d = S e; ``verify_identities``
-    checks the result.
+    sum restricted to ran S)(T e) and sets d = S e, with the solve's
+    certified ``error_bound`` on d; ``verify_identities`` checks the result.
     """
     oracle = SubspaceRestrictedOracle(problem.support_sum, problem.range_space)
     result = fixed_point(
         oracle, problem.displacement_on_range, 0.5, tol=tol, max_iter=max_iter
     )
     e = result.e
-    return CycleSolution(e=e, d=problem.displacement @ e, iterations=result.iterations)
+    return CycleSolution(
+        e=e, d=problem.displacement @ e, iterations=result.iterations,
+        error_bound=result.error_bound,
+    )
 
 
 def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
@@ -205,6 +191,8 @@ def verify_identities(problem, solution):
       1e-6 max(1, ||Se||)
     - ``range_membership``: ||e - P_{ran S} e||, threshold 1e-9 max(1, ||e||);
       the inclusion cannot see components of e off ran S
+    - ``error_bound``: the solution's certified bound on ||S e - d*||,
+      threshold 1e-6 max(1, ||Se||), only when the solution carries one
     - ``classical_shift_gap``: ||S x - S e||, threshold 1e-6 max(1, ||Se||)
     - ``fenchel_energy``: |f*(S x) + 0.5 ||S x||^2 + f(x)|, threshold 1e-6
 
@@ -229,6 +217,10 @@ def verify_identities(problem, solution):
         "range_membership": 1e-9 * max(1.0, float(np.linalg.norm(e))),
     }
     details = {"conjugate_identity_value": float(e @ se) - f_conj.value(se)}
+
+    if solution.error_bound is not None:
+        residuals["error_bound"] = float(solution.error_bound)
+        thresholds["error_bound"] = 1e-6 * scale
 
     if solution.classical_cycle is not None:
         x = as_vector(solution.classical_cycle, dim=s.shape[0])

@@ -46,21 +46,9 @@ class BlockCirculant:
         self.block_dim = int(block_dim)
         self.shape = (self.spectrum.size * self.block_dim,) * 2
 
-    @property
-    def T(self):
-        return BlockCirculant(self.spectrum.conj(), self.block_dim)
-
-    def __matmul__(self, other):
-        if isinstance(other, BlockCirculant):
-            return BlockCirculant(self.spectrum * other.spectrum, self.block_dim)
-        blocks = np.fft.fft(np.reshape(other, (self.spectrum.size, self.block_dim)), axis=0)
+    def __matmul__(self, x):
+        blocks = np.fft.fft(np.reshape(x, (self.spectrum.size, self.block_dim)), axis=0)
         return np.fft.ifft(blocks * self.spectrum[:, None], axis=0).real.ravel()
-
-    def __add__(self, other):
-        return BlockCirculant(self.spectrum + other.spectrum, self.block_dim)
-
-    def __rmul__(self, scalar):
-        return BlockCirculant(scalar * self.spectrum, self.block_dim)
 
 
 def as_operator(a, square=False):

@@ -5,8 +5,9 @@ monotone linear maps, and subdifferentials of a proximable function
 restricted to a subspace, in ambient coordinates (resolved by a
 Dykstra-style scheme, ``sum_prox``).
 The module also certifies strong anti-monotonicity of a linear map
-(``is_mu_unmonotone``) and converts a quadratic-form bound into the
-anti-monotonicity modulus used by the touching solver
+(``is_mu_unmonotone``), checks the quadratic-form gate the touching solver
+needs (``certified_lambda``) and converts that gate into the
+anti-monotonicity modulus of the paper's hypothesis
 (``modulus_from_lambda``).
 """
 
@@ -70,12 +71,12 @@ def is_mu_unmonotone(q, mu):
     return cert.valid, cert
 
 
-def modulus_from_lambda(q, lam):
-    """Anti-monotonicity modulus lam / (1 + ||Q||^2) for a map satisfying
-    <y, Qy> <= -lam ||y||^2.
+def certified_lambda(q, lam):
+    """Check the quadratic-form gate <y, Qy> <= -lam ||y||^2 and return the
+    largest constant for which it holds, -max_sym_eigenvalue(Q).
 
-    The hypothesis is checked spectrally (max_sym_eigenvalue(Q) <= -lam up
-    to slack); PreconditionError reports the offending eigenvalue.
+    ``lam`` only gates: the check is spectral (max_sym_eigenvalue(Q) <= -lam
+    up to slack), and PreconditionError reports the offending eigenvalue.
     """
     m = as_operator(q, square=True)
     lam = float(lam)
@@ -87,7 +88,15 @@ def modulus_from_lambda(q, lam):
             f"<y, Qy> <= -lam ||y||^2 fails: largest symmetric eigenvalue "
             f"{top:.6e} exceeds {-lam:.6e}"
         )
-    return lam / (1.0 + operator_norm(m) ** 2)
+    return -top
+
+
+def modulus_from_lambda(q, lam):
+    """Anti-monotonicity modulus lam / (1 + ||Q||^2) for a map satisfying
+    <y, Qy> <= -lam ||y||^2, which ``certified_lambda`` checks."""
+    m = as_operator(q, square=True)
+    certified_lambda(m, lam)
+    return float(lam) / (1.0 + operator_norm(m) ** 2)
 
 
 class ResolventOracle:

@@ -4,12 +4,18 @@ When a maximally monotone operator M and a linear map Q with
 <y, Qy> <= -lam ||y||^2 share a graph point, that point (d, e) with
 e = Q d and e in M d is unique; the forward-backward iteration
 
-    y_next = F(y) = J_{gamma M}(y + gamma Q y)
+    y_next = F(y) = J_{gamma M}((I + gamma Q) y)
 
-contracts to d.  With mu = lam / (1 + ||Q||^2) and beta = ||Q||, any
-gamma in (0, 2 mu / beta^2) gives the contraction factor
-rho = sqrt(1 - 2 gamma mu + gamma^2 beta^2); the default is
-gamma = mu / beta^2.
+contracts to d.  The resolvent J is nonexpansive, and with beta = ||Q||
+
+    ||(I + gamma Q) y||^2 = ||y||^2 + 2 gamma <y, Qy> + gamma^2 ||Qy||^2
+                          <= (1 - 2 gamma lam + gamma^2 beta^2) ||y||^2,
+
+so any gamma in the certified interval (0, 2 lam / beta^2) gives F the
+contraction factor rho = sqrt(1 - 2 gamma lam + gamma^2 beta^2).  ``touch``
+takes lam = -max_sym_eigenvalue(Q), the largest constant for which the gate
+holds; the default step gamma = lam / beta^2 minimises rho, to
+sqrt(1 - lam^2 / beta^2).  On Q = -lam I that is rho = 0 and one step is exact.
 
 The contraction certifies any candidate d: since F(d*) = d*,
 
@@ -17,6 +23,12 @@ The contraction certifies any candidate d: since F(d*) = d*,
 
 so ||d - d*|| <= ||F(d) - d|| / (1 - rho).  ``touch`` reports this bound
 for its answer and ``verify_touch`` recomputes it with one resolvent call.
+``touch`` also stops on it: after a step y -> y_next,
+||F(y_next) - y_next|| <= rho ||y_next - y||, so it stops once
+rho ||y_next - y|| / (1 - rho) <= tol max(1, ||y_next||), and its
+``error_bound`` then stays within tol max(1, ||d||).  The bound assumes an
+exact resolvent: an oracle that solves an inner problem (``sum_prox`` stops
+on a change of 1e-11) adds its own error, which the bound does not see.
 
 ``fixed_point`` solves y in M(T y) for an invertible T as ``touch`` on
 Q = T^{-1}: substituting y = T x turns <x, Tx> + lam ||Tx||^2 <= 0 into
@@ -29,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .hilbert import as_operator, as_vector, invert, operator_norm
-from .monotone import modulus_from_lambda
+from .hilbert import as_operator, as_vector, invert, max_sym_eigenvalue, operator_norm
+from .monotone import certified_lambda
 
 
 @dataclass
@@ -41,8 +53,9 @@ class TouchResult:
     (e = Q d, e in M d).  ``graph_residual`` is the M-inclusion residual
     ||F(d) - d|| = ||J_{gamma M}(d + gamma e) - d||, from one extra
     resolvent call, and ``error_bound`` = graph_residual / (1 - rho)
-    bounds the distance from ``d`` to the exact touching point.
-    ``step_norms`` records ||y_next - y|| per iteration.
+    bounds the distance from ``d`` to the exact touching point.  ``rho`` is
+    the certified contraction factor at ``gamma``.  ``step_norms`` records
+    ||y_next - y|| per iteration.
     """
 
     d: np.ndarray
@@ -51,7 +64,7 @@ class TouchResult:
     error_bound: float
     iterations: int
     gamma: float
-    mu: float
+    rho: float
     step_norms: list = field(default_factory=list, repr=False)
 
 
@@ -71,21 +84,29 @@ def _inclusion_residual(oracle, gamma, d, e):
     return float(np.linalg.norm(back - d))
 
 
-def _error_bound(residual, gamma, mu, beta):
+def _contraction_factor(gamma, lam, beta):
+    # rounding can push the square below 0 where it is exactly 0 (Q = -lam I
+    # at gamma = lam / beta^2); lam <= 0 certifies nothing and gives rho >= 1
+    return math.sqrt(max(0.0, 1.0 - 2.0 * gamma * lam + (gamma * beta) ** 2))
+
+
+def _error_bound(residual, rho):
     # ||d - d*|| <= ||F(d) - d|| / (1 - rho); a gamma outside the certified
     # interval (possible in a caller-built result) gives rho >= 1 and no bound
-    rho = math.sqrt(1.0 - 2.0 * gamma * mu + (gamma * beta) ** 2)
     return residual / (1.0 - rho) if rho < 1.0 else math.inf
 
 
 def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
     """Find the touching point of the monotone oracle and the linear map ``q``.
 
-    Requires the quadratic-form gate <y, Qy> <= -lam ||y||^2 (checked
-    spectrally) and a step ``gamma`` in the certified interval
-    (0, 2 mu / beta^2); ValueError names the interval otherwise.  Stops
-    once ||y_next - y|| <= tol * max(1, ||y||) and certifies the answer
-    with ``error_bound``; hitting the cap, or a non-finite step, raises
+    ``lam`` only gates: the quadratic-form gate <y, Qy> <= -lam ||y||^2 is
+    checked spectrally, and the step and the contraction factor use the
+    certified constant lam = -max_sym_eigenvalue(Q), which is at least the
+    caller's lam up to slack.  ``gamma`` must lie in the certified interval
+    (0, 2 lam / beta^2); ValueError names the interval otherwise.  Stops
+    once the error bound of the new iterate, rho ||y_next - y|| / (1 - rho),
+    is within tol * max(1, ||y_next||), and certifies the answer with
+    ``error_bound``; hitting the cap, or a non-finite step, raises
     ConvergenceError with the last step norm.
     """
     q = as_operator(q, square=True)
@@ -93,16 +114,19 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
         raise ValueError(
             f"operator dimension {q.shape[0]} does not match oracle dimension {oracle.dim}"
         )
-    mu = modulus_from_lambda(q, lam)
+    if int(max_iter) < 1:
+        raise ValueError("max_iter must be at least 1")
+    lam = certified_lambda(q, lam)
     beta = operator_norm(q)
-    limit = 2.0 * mu / beta**2
+    limit = 2.0 * lam / beta**2
     if gamma == "auto":
-        gamma = mu / beta**2
+        gamma = lam / beta**2
     gamma = float(gamma)
     if not 0.0 < gamma < limit:
         raise ValueError(
             f"gamma {gamma:.6e} is outside the certified interval (0, {limit:.6e})"
         )
+    rho = _contraction_factor(gamma, lam, beta)
 
     y = np.zeros(oracle.dim) if start is None else as_vector(start, dim=oracle.dim)
     step_norms = []
@@ -118,18 +142,19 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
                 iterations=it,
             )
         y = y_next
-        if step <= tol * max(1.0, float(np.linalg.norm(y))):
+        # rho step / (1 - rho) <= tol max(1, ||y||), without the division
+        if rho * step <= (1.0 - rho) * tol * max(1.0, float(np.linalg.norm(y))):
             d = y
             e = q @ d
             residual = _inclusion_residual(oracle, gamma, d, e)
             return TouchResult(
                 d=d, e=e, graph_residual=residual,
-                error_bound=_error_bound(residual, gamma, mu, beta),
-                iterations=it, gamma=gamma, mu=mu, step_norms=step_norms,
+                error_bound=_error_bound(residual, rho),
+                iterations=it, gamma=gamma, rho=rho, step_norms=step_norms,
             )
     raise ConvergenceError(
         f"touch did not converge within {max_iter} iterations "
-        f"(last step {step_norms[-1]:.3e}, gamma {gamma:.3e})",
+        f"(last step {step_norms[-1]:.3e}, gamma {gamma:.3e}, rho {rho:.6f})",
         residual=step_norms[-1],
         iterations=int(max_iter),
     )
@@ -150,11 +175,13 @@ def fixed_point(oracle, t, lam, tol=1e-10, max_iter=100000):
 def verify_touch(oracle, q, result):
     """Certify a touching result with one resolvent call.
 
-    With F(d) = J_{gamma M}(d + gamma Q d), at the result's gamma and mu,
-    reports ``graph_residual`` = ||e - Q d|| + ||F(d) - d|| and
-    ``error_bound`` = ||F(d) - d|| / (1 - rho), which bounds the distance
-    from d to the unique touching point.  Passes iff both stay within
-    1e-6 * max(1, ||d||).
+    With F(d) = J_{gamma M}(d + gamma Q d) at the result's gamma, reports
+    ``graph_residual`` = ||e - Q d|| + ||F(d) - d|| and ``error_bound`` =
+    ||F(d) - d|| / (1 - rho), which bounds the distance from d to the
+    unique touching point.  The factor rho is derived afresh from ``q``
+    (lam = -max_sym_eigenvalue(Q), beta = ||Q||), not read from the result;
+    a gamma outside the certified interval gives rho >= 1 and an infinite
+    bound.  Passes iff both stay within 1e-6 * max(1, ||d||).
     """
     q = as_operator(q, square=True)
     d = as_vector(result.d, dim=oracle.dim)
@@ -166,11 +193,10 @@ def verify_touch(oracle, q, result):
 
     qd = q @ d
     fixed_residual = _inclusion_residual(oracle, result.gamma, d, qd)
+    rho = _contraction_factor(result.gamma, -max_sym_eigenvalue(q), operator_norm(q))
     residuals = {
         "graph_residual": float(np.linalg.norm(e - qd)) + fixed_residual,
-        "error_bound": _error_bound(
-            fixed_residual, result.gamma, result.mu, operator_norm(q)
-        ),
+        "error_bound": _error_bound(fixed_residual, rho),
     }
     threshold = 1e-6 * max(1.0, float(np.linalg.norm(d)))
     thresholds = {name: threshold for name in residuals}

@@ -14,6 +14,7 @@ from montouch import (
     SubdifferentialOracle,
     Support,
     max_sym_eigenvalue,
+    operator_norm,
 )
 
 
@@ -87,6 +88,27 @@ def random_gate_matrix(rng, dim, lam=0.5, scale=0.25):
     return g - shift * np.eye(dim)
 
 
+def gate_matrix_with_norm(rng, dim, lam=0.5, norm=3.0):
+    """Random Q with max_sym_eigenvalue(Q) = -lam and ||Q|| = ``norm``.
+
+    Q(s) = s H - lam I, with H a Gaussian matrix shifted so that its
+    symmetric part tops out at 0.  ||Q(s)|| equals lam at s = 0, never
+    drops below it and is convex in s, so bisection finds ||Q(s)|| = norm.
+    """
+    g = rng.normal(size=(dim, dim)) / np.sqrt(dim)
+    h = g - max_sym_eigenvalue(g) * np.eye(dim)
+    lo, hi = 0.0, 1.0
+    while operator_norm(hi * h - lam * np.eye(dim)) < norm:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if operator_norm(mid * h - lam * np.eye(dim)) < norm:
+            lo = mid
+        else:
+            hi = mid
+    return hi * h - lam * np.eye(dim)
+
+
 def random_touch_instance(rng):
     """A touching problem (oracle, Q) at lam = 1/2 in R^1 to R^10: a
     monotone linear map or the normal cone of a compact set, against a
@@ -109,3 +131,15 @@ def dense(op):
     """Matrix of a linear map, built by applying it to the identity columns."""
     n = op.shape[1]
     return np.column_stack([op @ col for col in np.eye(n)])
+
+
+def cyclic_shift(n_sets, block_dim):
+    """Dense reference matrix of the block cyclic shift (x_1, ..., x_N) -> (x_N, x_1, ...)."""
+    perm = np.roll(np.eye(n_sets), 1, axis=0)
+    return np.kron(perm, np.eye(block_dim))
+
+
+def isometry_defect(a):
+    """max |A^T A - I|, zero exactly for isometries."""
+    m = np.asarray(a, dtype=float)
+    return float(np.abs(m.T @ m - np.eye(m.shape[0])).max())

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cyclic_shift,
     dense,
+    isometry_defect,
     random_compact_set,
     random_gate_matrix,
     random_prox_function,
@@ -36,10 +38,8 @@ from montouch import (
     build_problem,
     classical_cycle,
     cli,
-    cyclic_shift,
     generalized_cycle,
     is_mu_unmonotone,
-    isometry_defect,
     minty_point,
     modulus_from_lambda,
     orthonormal_range,
@@ -215,8 +215,10 @@ def test_criterion_04_contraction_rate_bound(report):
         q = random_gate_matrix(rng, dim, lam=0.5)
         res = touch(oracle, q, 0.5, start=rng.normal(scale=5.0, size=dim))
         steps = res.step_norms
-        bound = np.sqrt(1.0 - 2.0 * res.gamma * res.mu
+        # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2
+        bound = np.sqrt(1.0 - 2.0 * res.gamma * 0.5
                         + res.gamma ** 2 * float(np.linalg.norm(q, 2)) ** 2)
+        assert res.rho == pytest.approx(bound, abs=1e-12)
         ratios = [steps[i + 1] / steps[i]
                   for i in range(len(steps) - 1) if steps[i] > 1e-12]
         assert ratios
@@ -403,7 +405,9 @@ def test_criterion_10_cli_contract(capsys, report):
 
     code_bad = cli.main(["cycle", "--problem", str(DATA / "malformed.json")])
     capsys.readouterr()
-    code_cap = cli.main(["cycle", "--problem", problem, "--max-iter", "2"])
+    # two_ball is solved exactly in one step (rho = 0); three balls take 29
+    code_cap = cli.main(["cycle", "--problem", str(DATA / "three_ball.json"),
+                         "--max-iter", "2"])
     capsys.readouterr()
     code_fail = cli.main(["check-unmonotone",
                           "--matrix", str(DATA / "neg_identity.json"),

@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 TWO_BALL = str(DATA / "two_ball.json")
 TWO_SINGLETONS = str(DATA / "two_singletons.json")
+THREE_BALL = str(DATA / "three_ball.json")
 NEG_IDENTITY = str(DATA / "neg_identity.json")
 
 
@@ -157,7 +158,9 @@ def test_touch_command_on_singletons(capsys):
     assert np.allclose(doc["outputs"]["d"], [5.0, -5.0], atol=1e-8)
     assert np.allclose(doc["outputs"]["e"], [-2.5, 2.5], atol=1e-8)
     assert doc["outputs"]["lambda"] == 0.5
-    assert doc["outputs"]["mu"] == pytest.approx(0.4)
+    # N = 2 gives Q = -I/2, so the step 2 makes one exact step: rho = 0
+    assert doc["outputs"]["rho"] == 0.0
+    assert doc["iterations"] == 1
     assert doc["residuals"]["graph_residual"] <= 1e-6
     assert doc["residuals"]["error_bound"] <= 1e-6
 
@@ -178,9 +181,11 @@ def test_touch_accepts_lambda_override(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["outputs"]["lambda"] == 0.25
-    # same touching point, smaller certified modulus
+    # the gate constant only gates: the step and the factor use the
+    # certified -max eig sym(Q) = 1/2 either way
     assert np.allclose(doc["outputs"]["d"], [5.0, -5.0], atol=1e-8)
-    assert doc["outputs"]["mu"] == pytest.approx(0.2)
+    assert doc["outputs"]["gamma"] == 2.0
+    assert doc["outputs"]["rho"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["touch", "fixed-point"])
@@ -262,7 +267,7 @@ def test_exit_1_on_gamma_outside_certified_interval(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["touch", "fixed-point"])
 def test_gamma_override_reaches_the_solve(capsys, command):
-    # two_ball's certified interval is (0, 3.2) and its automatic step 1.6
+    # two_ball's certified interval is (0, 4) and its automatic step 2
     code, out, err = run_cli(capsys, command, "--problem", TWO_BALL, "--gamma", "1000")
     assert code == 1 and out == "" and "certified interval" in err
     code, out, _ = run_cli(capsys, command, "--problem", TWO_BALL, "--gamma", "1.0")
@@ -270,27 +275,39 @@ def test_gamma_override_reaches_the_solve(capsys, command):
 
 
 def test_pass_means_certified_distance(capsys, tmp_path):
-    # five balls in R^2 contract at rho ~ 0.94: at --tol 1e-6 the raw
-    # residual is under the threshold while d is 2.2x the threshold away
-    # from the touching point, so only the error bound may decide the pass
+    # five balls in R^2 contract at rho = 0.8: touch stops once its error
+    # bound is within tol max(1, ||d||), so at --tol 1e-6 it passes and d
+    # lies within the pass threshold of a tight solve; at --tol 1e-3 it stops
+    # inside its own tolerance but fails the 1e-6 pass on the bound alone
     rng = np.random.default_rng(5)
     sets = [{"type": "ball", "center": list(rng.normal(size=2) * 3), "radius": 1.0}
             for _ in range(5)]
     path = write_json(tmp_path, "five_ball.json", {"base_dimension": 2, "sets": sets})
-    code, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-6")
-    loose = json.loads(out)
-    code_tight, out, _ = run_cli(capsys, "touch", "--problem", path)
+    code_tight, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-13")
     tight = json.loads(out)
+    assert code_tight == 0 and tight["pass"] is True
+
+    code, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-6")
+    certified = json.loads(out)
+    threshold = 1e-6 * max(1.0, np.linalg.norm(certified["outputs"]["d"]))
+    error = np.linalg.norm(
+        np.subtract(certified["outputs"]["d"], tight["outputs"]["d"]))
+    assert code == 0 and certified["pass"] is True
+    assert certified["residuals"]["error_bound"] <= threshold
+    assert error <= threshold
+
+    code, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-3")
+    loose = json.loads(out)
     threshold = 1e-6 * max(1.0, np.linalg.norm(loose["outputs"]["d"]))
     error = np.linalg.norm(np.subtract(loose["outputs"]["d"], tight["outputs"]["d"]))
     assert code == 3 and loose["pass"] is False
-    assert loose["residuals"]["graph_residual"] <= threshold < error
+    assert threshold < loose["residuals"]["error_bound"]
     assert error <= loose["residuals"]["error_bound"] + tight["residuals"]["error_bound"]
-    assert code_tight == 0 and tight["pass"] is True
 
 
 def test_exit_2_on_iteration_cap(capsys):
-    code, out, _ = run_cli(capsys, "cycle", "--problem", TWO_BALL,
+    # two_ball is solved exactly in one step, so the cap is shown on three balls
+    code, out, _ = run_cli(capsys, "cycle", "--problem", THREE_BALL,
                            "--max-iter", "2")
     doc = json.loads(out)
     assert code == 2

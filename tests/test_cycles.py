@@ -14,17 +14,15 @@ from montouch import (
     SingularOperatorError,
     build_problem,
     classical_cycle,
-    cyclic_shift,
     generalized_cycle,
     invert,
-    isometry_defect,
     max_sym_eigenvalue,
     operator_norm,
     orthonormal_range,
     project_onto,
     verify_identities,
 )
-from helpers import dense, random_compact_set
+from helpers import cyclic_shift, dense, isometry_defect, random_compact_set
 from montouch import cycles
 from montouch.monotone import sum_prox
 
@@ -98,15 +96,17 @@ def test_product_space_operators_match_dense_references(n, m):
         (p.displacement, s),
         (t, t_ref),
         (q, np.linalg.pinv(s) - 0.5 * block_mean),
-        # the form <x, Tx> + lam ||Tx||^2 of fixed_point's hypothesis at lam = 1/2
-        (0.5 * (t + t.T) + 0.5 * (t.T @ t),
-         0.5 * (t_ref + t_ref.T) + 0.5 * (t_ref.T @ t_ref)),
     ]
     for op, reference in pairs:
         assert np.abs(dense(op) - reference).max() <= 1e-12
         assert operator_norm(op) == pytest.approx(operator_norm(reference), abs=1e-12)
         assert max_sym_eigenvalue(op) == pytest.approx(
             max_sym_eigenvalue(reference), abs=1e-12)
+    # fixed_point's hypothesis <x, Tx> + lam ||Tx||^2 <= 0 at lam = 1/2 holds
+    # with equality: T is S on ran S and -2 on the block-constant vectors
+    t_dense = dense(t)
+    form = 0.5 * (t_dense + t_dense.T) + 0.5 * (t_dense.T @ t_dense)
+    assert np.abs(form).max() <= 1e-12
     assert np.abs(dense(q) - invert(t_ref)).max() <= 1e-12
     for singular in (p.displacement, s):
         with pytest.raises(SingularOperatorError):
@@ -150,6 +150,18 @@ def test_two_ball_generalized_cycle_matches_geometry():
     assert np.linalg.norm(sol.d - d_expected) <= 1e-7
     assert np.linalg.norm(sol.e - e_expected) <= 1e-7
     assert verify_identities(p, sol).passed
+
+
+def test_two_ball_cycle_is_one_exact_step():
+    # N = 2 gives Q = -I/2, so the certified step gamma = lam / beta^2 = 2
+    # makes I + gamma Q = 0 and rho = 0: the first resolvent is the answer
+    p = two_ball_problem()
+    _, _, d_expected, e_expected = two_ball_oracle()
+    sol = generalized_cycle(p)
+    assert sol.iterations == 1
+    assert np.array_equal(sol.d, d_expected)
+    assert np.array_equal(sol.e, e_expected)
+    assert sol.error_bound == 0.0
 
 
 def test_two_ball_classical_cycle():
@@ -221,8 +233,9 @@ def test_relabelled_family_shifts_the_gap_vector():
     rotated = build_problem(sets[1:] + sets[:1])
     sol_rot = generalized_cycle(rotated)
     # relabelling C_i -> C_{i+1} shifts blocks one step backwards
-    assert np.linalg.norm(sol_rot.d - p.shift.T @ sol.d) <= 1e-6
-    assert np.linalg.norm(sol_rot.e - p.shift.T @ sol.e) <= 1e-6
+    back = dense(p.shift).T
+    assert np.linalg.norm(sol_rot.d - back @ sol.d) <= 1e-6
+    assert np.linalg.norm(sol_rot.e - back @ sol.e) <= 1e-6
 
 
 # ---------------------------------------------------------- identities
@@ -251,6 +264,8 @@ def test_verify_identities_two_ball_report():
     assert report.residuals["classical_shift_gap"] <= report.thresholds["classical_shift_gap"]
     assert report.residuals["fenchel_energy"] <= 1e-6
     assert report.residuals["conjugate_inclusion"] <= report.thresholds["conjugate_inclusion"]
+    assert report.residuals["error_bound"] == sol.error_bound
+    assert report.thresholds["error_bound"] == report.thresholds["conjugate_inclusion"]
     assert report.details["classical_objective"] == 0.0
 
 
@@ -275,6 +290,16 @@ def test_verify_identities_flags_perturbed_solution():
     assert not report.passed
     assert report.residuals["conjugate_inclusion"] > report.thresholds["conjugate_inclusion"]
     assert report.residuals["range_membership"] <= report.thresholds["range_membership"]
+    # a solution whose solve certified too loose a bound fails on it alone
+    sol.e = e_good
+    sol.error_bound = 1e-3
+    report = verify_identities(p, sol)
+    assert not report.passed
+    assert [k for k in report.residuals
+            if report.residuals[k] > report.thresholds[k]] == ["error_bound"]
+    # a caller-built solution carries no bound and gets no such residual
+    sol.error_bound = None
+    assert "error_bound" not in verify_identities(p, sol).residuals
 
 
 def test_energy_identity_separates_cycles_from_noncycles():

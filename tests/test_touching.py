@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from montouch import (
     Box,
@@ -15,11 +16,18 @@ from montouch import (
     SingularOperatorError,
     SubdifferentialOracle,
     fixed_point,
+    max_sym_eigenvalue,
     operator_norm,
     touch,
     verify_touch,
 )
-from helpers import random_gate_matrix, random_monotone_matrix, random_touch_instance
+from helpers import (
+    gate_matrix_with_norm,
+    random_gate_matrix,
+    random_monotone_matrix,
+    random_prox_function,
+    random_touch_instance,
+)
 
 
 class ShiftedAbsOracle(ResolventOracle):
@@ -57,7 +65,10 @@ def test_touch_shifted_abs():
     res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5)
     assert res.d == pytest.approx(1.0, abs=1e-9)
     assert res.e == pytest.approx(-1.0, abs=1e-9)
-    assert res.mu == pytest.approx(0.25)
+    # Q = -I: lam = beta = 1, so gamma = 1 and rho = 0 even though the gate
+    # is only asked for lam = 1/2
+    assert res.gamma == 1.0
+    assert res.rho == 0.0
     assert res.graph_residual <= 1e-9
 
 
@@ -100,19 +111,26 @@ def test_touch_rejects_mismatched_dimensions():
 
 
 def test_touch_rejects_bad_gamma():
-    # mu = 1/4 and beta = 1, so the certified interval is (0, 2 mu / beta^2) = (0, 0.5)
-    for gamma in (0.0, 0.5):
-        with pytest.raises(ValueError, match="certified interval"):
+    # lam = -max eig sym(Q) = 1 and beta = 1, so the certified interval is
+    # (0, 2 lam / beta^2) = (0, 2), whatever gate constant the caller passes
+    for gamma in (0.0, 2.0):
+        with pytest.raises(ValueError, match=r"certified interval \(0, 2\.0+e\+00\)"):
             touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=gamma)
-    res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=0.3)
-    assert res.d == pytest.approx(1.0, abs=1e-9)
+    for gamma in (0.3, 1.9):
+        res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=gamma)
+        assert res.d == pytest.approx(1.0, abs=1e-9)
+        assert res.rho == pytest.approx(abs(1.0 - gamma))
 
 
 def test_touch_iteration_cap():
+    # the automatic step solves Q = -I in one exact step, so the cap is shown
+    # at gamma = 0.5 (rho = 1/2)
     with pytest.raises(ConvergenceError) as info:
-        touch(ShiftedAbsOracle(), [[-1.0]], 0.5, max_iter=2, tol=1e-14)
+        touch(ShiftedAbsOracle(), [[-1.0]], 0.5, max_iter=2, tol=1e-14, gamma=0.5)
     assert info.value.iterations == 2
     assert math.isfinite(info.value.residual)
+    with pytest.raises(ValueError, match="max_iter"):
+        touch(ShiftedAbsOracle(), [[-1.0]], 0.5, max_iter=0)
 
 
 def test_touch_raises_on_non_finite_iterate():
@@ -143,6 +161,43 @@ def test_touch_error_bound_covers_true_error():
         assert gap <= loose.error_bound + tight.error_bound
 
 
+def test_touch_stops_within_its_error_bound():
+    # touch stops on rho step / (1 - rho) <= tol max(1, ||y||), which bounds
+    # ||F(d) - d|| / (1 - rho) for an exact resolvent: the certified bound at
+    # the stop must meet tol itself, also where rho is close to 1
+    rng = np.random.default_rng(7)
+    instances = [random_touch_instance(rng) for _ in range(100)]
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        dim = int(rng.integers(4, 25))
+        oracle = SubdifferentialOracle(random_prox_function(rng, dim))
+        instances.append((oracle, gate_matrix_with_norm(rng, dim, lam=0.5, norm=3.0)))
+    for tol in (1e-6, 1e-10):
+        for oracle, q in instances:
+            res = touch(oracle, q, 0.5, tol=tol)
+            assert res.error_bound <= tol * max(1.0, float(np.linalg.norm(res.d)))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.05, 0.95))
+def test_any_certified_gamma_converges(seed, fraction):
+    # any step in the certified interval (0, 2 lam / beta^2) contracts; the
+    # fraction stays off the ends, where rho -> 1 and the solve never ends
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 7))
+    q = random_gate_matrix(rng, dim, lam=0.5)
+    if rng.integers(2):
+        oracle = LinearMonotoneOracle(random_monotone_matrix(rng, dim))
+    else:
+        oracle = SubdifferentialOracle(random_prox_function(rng, dim))
+    limit = 2.0 * -max_sym_eigenvalue(q) / operator_norm(q) ** 2
+    res = touch(oracle, q, 0.5, tol=1e-8, gamma=fraction * limit)
+    tight = touch(oracle, q, 0.5, tol=1e-12)
+    assert res.rho < 1.0
+    assert res.error_bound <= 1e-8 * max(1.0, float(np.linalg.norm(res.d)))
+    assert np.linalg.norm(res.d - tight.d) <= res.error_bound + tight.error_bound
+
+
 def test_touch_contraction_bound_linear_instances():
     rng = np.random.default_rng(97)
     for _ in range(10):
@@ -151,7 +206,9 @@ def test_touch_contraction_bound_linear_instances():
         oracle = LinearMonotoneOracle(random_monotone_matrix(rng, dim))
         res = touch(oracle, q, 0.5, start=rng.normal(size=dim))
         beta = operator_norm(q)
-        bound = math.sqrt(1.0 - 2.0 * res.gamma * res.mu + res.gamma**2 * beta**2)
+        # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2
+        bound = math.sqrt(1.0 - 2.0 * res.gamma * 0.5 + res.gamma**2 * beta**2)
+        assert res.rho == pytest.approx(bound, abs=1e-12)
         steps = res.step_norms
         for a, b in zip(steps, steps[1:]):
             if a > 1e-12 and b > 1e-12:
@@ -213,9 +270,11 @@ def test_verify_touch_flags_perturbed_result():
     report = verify_touch(oracle, q, res)
     assert not report.passed
     assert report.residuals["graph_residual"] == pytest.approx(1e-3, rel=0.2)
-    # a step at the end of the certified interval (0, 0.5) certifies nothing
+    # a step at the end of the certified interval (0, 2) certifies nothing,
+    # whatever factor the result itself carries
     res = touch(oracle, q, 0.5)
-    res.gamma = 0.5
+    res.gamma = 2.0
+    res.rho = 0.0
     report = verify_touch(oracle, q, res)
     assert not report.passed
     assert report.residuals["error_bound"] == math.inf
