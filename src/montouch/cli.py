@@ -27,7 +27,7 @@ from .cycles import build_problem, classical_cycle, generalized_cycle, verify_id
 from .errors import ConvergenceError, ParseError
 from .hilbert import as_operator, invert, orthonormal_range
 from .monotone import SubspaceRestrictedOracle, is_mu_unmonotone
-from .touching import touch
+from .touching import _pass_threshold, touch
 
 @dataclass
 class SolverSettings:
@@ -208,15 +208,6 @@ def parse_matrix(path):
         raise ParseError(f"matrix: {err}") from err
 
 
-def _apply_overrides(settings, args):
-    if args.tol is not None:
-        settings.tolerance = args.tol
-    if args.max_iter is not None:
-        settings.max_iterations = args.max_iter
-    if args.gamma is not None:
-        settings.gamma = args.gamma
-
-
 def execute(command, args):
     """Run one command and assemble its Report."""
     t0 = time.perf_counter()
@@ -243,25 +234,27 @@ def execute(command, args):
         )
 
     spec, digest = parse_problem(args.problem)
-    _apply_overrides(spec.solver, args)
-    problem = build_problem(spec.sets)
     settings = spec.solver
+    if args.tol is not None:
+        settings.tolerance = args.tol
+    if args.max_iter is not None:
+        settings.max_iterations = args.max_iter
+    problem = build_problem(spec.sets)
 
     if command in ("touch", "fixed-point"):
         # fixed-point is touch on Q = T^{-1}: the same solve and the same gate
         oracle = SubspaceRestrictedOracle(problem.support_sum, problem.range_space)
-        lam = 0.5 if args.lam is None else args.lam
         res = touch(
-            oracle, invert(problem.displacement_on_range), lam,
+            oracle, invert(problem.displacement_on_range), args.lam,
             tol=settings.tolerance, max_iter=settings.max_iterations,
-            gamma=settings.gamma,
+            gamma=settings.gamma if args.gamma is None else args.gamma,
         )
         outputs = {
             "d": res.d,
             "e": res.e,
             "gamma": res.gamma,
             "rho": res.rho,
-            "lambda": lam,
+            "lambda": args.lam,
         }
         return Report(
             command=command,
@@ -271,7 +264,7 @@ def execute(command, args):
                 "graph_residual": res.graph_residual,
                 "error_bound": res.error_bound,
             },
-            passed=res.error_bound <= 1e-6 * max(1.0, float(np.linalg.norm(res.d))),
+            passed=res.error_bound <= _pass_threshold(res.d),
             iterations=res.iterations,
             wall_time_ms=(time.perf_counter() - t0) * 1000.0,
         )
@@ -320,17 +313,13 @@ def _gamma_flag(value):
 
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=None,
-                        help="override solver tolerance")
-    shared.add_argument("--max-iter", type=int, default=None,
-                        help="override solver iteration cap")
-    shared.add_argument("--gamma", type=_gamma_flag, default=None,
-                        help='override step size ("auto" or a number in the '
-                             'certified interval (0, 2 lam / beta^2), where '
-                             'lam = -max eig sym(Q) and beta = ||Q||; touch '
-                             'and fixed-point only')
     shared.add_argument("--out", default=None,
                         help="also write the JSON report to this file")
+    solve = argparse.ArgumentParser(add_help=False, parents=[shared])
+    solve.add_argument("--tol", type=float, default=None,
+                       help="override solver tolerance")
+    solve.add_argument("--max-iter", type=int, default=None,
+                       help="override solver iteration cap")
 
     parser = argparse.ArgumentParser(
         prog="montouch",
@@ -350,12 +339,15 @@ def build_parser():
         ("cycle", "generalized cycle and gap vector"),
         ("verify", "generalized cycle plus the classical projection sweep"),
     ):
-        p = sub.add_parser(name, parents=[shared], help=extra)
+        p = sub.add_parser(name, parents=[solve], help=extra)
         p.add_argument("--problem", required=True, help="JSON problem file")
         if name in ("touch", "fixed-point"):
-            p.add_argument("--lambda", dest="lam", type=float, default=None,
+            p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                            help="quadratic-form gate constant (default 0.5); "
                                 "it only gates, the step uses -max eig sym(Q)")
+            p.add_argument("--gamma", type=_gamma_flag, default=None,
+                           help='override step size: "auto" or a number in the '
+                                'certified interval (0, 2 lam / beta^2)')
 
     return parser
 

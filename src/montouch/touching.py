@@ -22,7 +22,7 @@ The contraction certifies any candidate d: since F(d*) = d*,
     ||d - d*|| <= ||F(d) - d|| + ||F(d) - F(d*)|| <= ||F(d) - d|| + rho ||d - d*||,
 
 so ||d - d*|| <= ||F(d) - d|| / (1 - rho).  ``touch`` reports this bound
-for its answer and ``verify_touch`` recomputes it with one resolvent call.
+for its answer; ``verify_touch`` and ``cycles.verify_identities`` recompute it.
 ``touch`` also stops on it: after a step y -> y_next,
 ||F(y_next) - y_next|| <= rho ||y_next - y||, so it stops once
 rho ||y_next - y|| / (1 - rho) <= tol max(1, ||y_next||), and its
@@ -94,6 +94,19 @@ def _error_bound(residual, rho):
     # ||d - d*|| <= ||F(d) - d|| / (1 - rho); a gamma outside the certified
     # interval (possible in a caller-built result) gives rho >= 1 and no bound
     return residual / (1.0 - rho) if rho < 1.0 else math.inf
+
+
+def _certificate(oracle, q, d, gamma=None):
+    # ||F(d) - d|| and its error bound, lam and beta derived from q
+    lam = -max_sym_eigenvalue(q)
+    beta = operator_norm(q)
+    gamma = lam / beta**2 if gamma is None else gamma  # touch's default step
+    residual = _inclusion_residual(oracle, gamma, d, q @ d)
+    return residual, _error_bound(residual, _contraction_factor(gamma, lam, beta))
+
+
+def _pass_threshold(x):
+    return 1e-6 * max(1.0, float(np.linalg.norm(x)))
 
 
 def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
@@ -191,14 +204,12 @@ def verify_touch(oracle, q, result):
             f"operator dimension {q.shape[0]} does not match oracle dimension {oracle.dim}"
         )
 
-    qd = q @ d
-    fixed_residual = _inclusion_residual(oracle, result.gamma, d, qd)
-    rho = _contraction_factor(result.gamma, -max_sym_eigenvalue(q), operator_norm(q))
+    fixed_residual, bound = _certificate(oracle, q, d, result.gamma)
     residuals = {
-        "graph_residual": float(np.linalg.norm(e - qd)) + fixed_residual,
-        "error_bound": _error_bound(fixed_residual, rho),
+        "graph_residual": float(np.linalg.norm(e - q @ d)) + fixed_residual,
+        "error_bound": bound,
     }
-    threshold = 1e-6 * max(1.0, float(np.linalg.norm(d)))
+    threshold = _pass_threshold(d)
     thresholds = {name: threshold for name in residuals}
     return VerificationReport(
         residuals=residuals,

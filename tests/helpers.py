@@ -3,6 +3,7 @@
 import numpy as np
 
 from montouch import (
+    AffineSet,
     Ball,
     Box,
     Halfspace,
@@ -15,6 +16,7 @@ from montouch import (
     Support,
     max_sym_eigenvalue,
     operator_norm,
+    orthonormal_range,
 )
 
 
@@ -38,6 +40,13 @@ def random_halfspace(rng, dim, spread=2.0):
     normal = rng.normal(size=dim)
     normal /= np.linalg.norm(normal)
     return Halfspace(normal, float(spread * rng.normal()))
+
+
+def random_affine(rng, dim, spread=3.0):
+    """A random point, line, plane, ... or the whole space, rank 0 to dim."""
+    rank = int(rng.integers(0, dim + 1))
+    return AffineSet(spread * rng.normal(size=dim),
+                     orthonormal_range(rng.normal(size=(dim, rank))))
 
 
 def random_compact_set(rng, dim):

@@ -251,6 +251,18 @@ def test_exit_1_on_usage_error(capsys):
     assert code == 0 and "--problem" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("cycle", "--problem", TWO_BALL, "--gamma", "1000"),
+    ("verify", "--problem", TWO_BALL, "--gamma", "1000"),
+    ("check-unmonotone", "--matrix", NEG_IDENTITY, "--mu", "0.5",
+     "--tol", "5", "--max-iter", "0", "--gamma", "1000"),
+])
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_exit_1_on_gamma_outside_certified_interval(capsys, tmp_path):
     # at gamma = 1000 the forward-backward iteration overflows d to ~1e155
     rng = np.random.default_rng(5)

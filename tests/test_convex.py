@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from montouch import (
     AffineSet,
@@ -18,7 +19,28 @@ from montouch import (
     Support,
     orthonormal_range,
 )
-from helpers import random_compact_set, random_prox_function, random_set, sample_in
+from helpers import (
+    random_affine,
+    random_ball,
+    random_box,
+    random_compact_set,
+    random_halfspace,
+    random_prox_function,
+    random_set,
+    random_singleton,
+    sample_in,
+)
+
+
+@st.composite
+def set_prox_functions(draw):
+    """The indicator or the support function of a set of any of the five
+    classes, in R^1 to R^4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([random_ball, random_box, random_halfspace,
+                                 random_singleton, random_affine]))
+    c = make(rng, int(rng.integers(1, 5)))
+    return Support(c) if draw(st.booleans()) else Indicator(c)
 
 
 # ---------------------------------------------------------------- sets
@@ -244,6 +266,26 @@ def test_moreau_identity_sampled():
         x = 3.0 * rng.normal(size=dim)
         lhs = f.prox(lam, x) + lam * conj.prox(1.0 / lam, x / lam)
         assert np.linalg.norm(lhs - x) <= 1e-10
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(f=set_prox_functions(), lam=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_prox_firmly_nonexpansive_property(f, lam, seed):
+    # <Jx - Jy, x - y> >= ||Jx - Jy||^2 for J = prox_{lam f}
+    x, y = 3.0 * np.random.default_rng(seed).normal(size=(2, f.ambient_dim))
+    gap = f.prox(lam, x) - f.prox(lam, y)
+    assert float(gap @ gap) <= float(gap @ (x - y)) + 1e-10 * float((x - y) @ (x - y))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(f=set_prox_functions(), lam=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_moreau_identity_property(f, lam, seed):
+    # prox_{lam f}(x) + lam prox_{f*/lam}(x / lam) = x
+    x = 3.0 * np.random.default_rng(seed).normal(size=f.ambient_dim)
+    lhs = f.prox(lam, x) + lam * f.conjugate().prox(1.0 / lam, x / lam)
+    assert np.linalg.norm(lhs - x) <= 1e-10 * max(1.0, float(np.linalg.norm(x)))
 
 
 def test_fenchel_young_sampled():

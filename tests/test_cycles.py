@@ -8,6 +8,7 @@ import pytest
 from montouch import (
     Ball,
     Box,
+    CycleSolution,
     DegenerateProblemError,
     Halfspace,
     Singleton,
@@ -23,7 +24,7 @@ from montouch import (
     verify_identities,
 )
 from helpers import cyclic_shift, dense, isometry_defect, random_compact_set
-from montouch import cycles
+from montouch import monotone
 from montouch.monotone import sum_prox
 
 
@@ -263,9 +264,11 @@ def test_verify_identities_two_ball_report():
     assert report.passed
     assert report.residuals["classical_shift_gap"] <= report.thresholds["classical_shift_gap"]
     assert report.residuals["fenchel_energy"] <= 1e-6
-    assert report.residuals["conjugate_inclusion"] <= report.thresholds["conjugate_inclusion"]
-    assert report.residuals["error_bound"] == sol.error_bound
-    assert report.thresholds["error_bound"] == report.thresholds["conjugate_inclusion"]
+    assert "conjugate_inclusion" not in report.residuals
+    assert report.residuals["error_bound"] <= report.thresholds["error_bound"]
+    # the derived bound agrees with the solve's: one exact step, rho = 0
+    assert report.residuals["error_bound"] == sol.error_bound == 0.0
+    assert report.thresholds["error_bound"] == 1e-6 * np.linalg.norm(sol.d)
     assert report.details["classical_objective"] == 0.0
 
 
@@ -283,23 +286,22 @@ def test_verify_identities_flags_perturbed_solution():
     sol.e = e_good + 1e-3 * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     report = verify_identities(p, sol)
     assert not report.passed
-    # without a classical cycle, the inclusion residual alone catches it
+    # without a classical cycle, the derived error bound alone catches it
     sol.classical_cycle = None
     sol.e = e_good + 1e-5 * np.array([0.0, 1.0, 0.0, -1.0]) / np.sqrt(2.0)
     report = verify_identities(p, sol)
     assert not report.passed
-    assert report.residuals["conjugate_inclusion"] > report.thresholds["conjugate_inclusion"]
-    assert report.residuals["range_membership"] <= report.thresholds["range_membership"]
-    # a solution whose solve certified too loose a bound fails on it alone
+    assert [k for k in report.residuals
+            if report.residuals[k] > report.thresholds[k]] == ["error_bound"]
+    # a loose bound carried by a correct solution is not read: it passes
     sol.e = e_good
     sol.error_bound = 1e-3
     report = verify_identities(p, sol)
-    assert not report.passed
-    assert [k for k in report.residuals
-            if report.residuals[k] > report.thresholds[k]] == ["error_bound"]
-    # a caller-built solution carries no bound and gets no such residual
+    assert report.passed
+    assert report.residuals["error_bound"] == 0.0
+    # a caller-built solution carries no bound and gets a derived one
     sol.error_bound = None
-    assert "error_bound" not in verify_identities(p, sol).residuals
+    assert verify_identities(p, sol).residuals == report.residuals
 
 
 def test_energy_identity_separates_cycles_from_noncycles():
@@ -335,9 +337,85 @@ def test_verify_identities_without_classical_cycle(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the verifier samples nothing")
 
-    monkeypatch.setattr(cycles, "sum_prox", counted)
+    monkeypatch.setattr(monotone, "sum_prox", counted)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     report = verify_identities(p, sol)
     assert report.passed
     assert len(calls) == 1
     assert "classical_shift_gap" not in report.residuals
+
+
+# ------------------------------------------------------- the certificate
+
+def five_ball_problem():
+    rng = np.random.default_rng(5)
+    return build_problem([Ball(rng.normal(size=2) * 3, 1.0) for _ in range(5)])
+
+
+def in_range_direction(p, seed):
+    delta = project_onto(p.range_space, np.random.default_rng(seed).normal(
+        size=p.n_sets * p.base_dim))
+    return delta / np.linalg.norm(delta)
+
+
+def test_verify_identities_has_no_false_pass():
+    # a gamma = 1 inclusion residual ||prox_g(Se + e) - Se|| is no distance
+    # bound: here it reads 0.9x the pass threshold while Se lies 1.56x the
+    # threshold from the exact gap vector; the derived bound fails it
+    p = five_ball_problem()
+    sol = generalized_cycle(p, tol=1e-13)
+    delta = in_range_direction(p, 0)
+
+    def unit_residual(e):
+        se = p.displacement @ e
+        back = sum_prox(p.support_sum, p.range_space, 1.0, se + e)
+        return float(np.linalg.norm(back - se)), 1e-6 * max(1.0, np.linalg.norm(se))
+
+    probe, _ = unit_residual(sol.e + 1e-5 * delta)
+    threshold = 1e-6 * max(1.0, np.linalg.norm(sol.d))
+    e = sol.e + 0.9 * threshold * 1e-5 / probe * delta
+    residual, threshold = unit_residual(e)
+    assert 0.85 * threshold <= residual <= threshold
+
+    report = verify_identities(p, CycleSolution(e=e, d=p.displacement @ e))
+    distance = np.linalg.norm(p.displacement @ e - sol.d)
+    assert distance > 1.5 * threshold
+    assert not report.passed
+    assert report.residuals["error_bound"] >= distance
+
+
+def test_verify_identities_bound_covers_the_true_error():
+    # the reference e = P_{ran S} x of a classical cycle x is cheap at any N
+    # and certified by its own derived bound, so by the triangle inequality
+    # ||Se' - Se|| <= bound(e') + bound(e) whatever the exact gap vector is
+    rng = np.random.default_rng(11)
+    for n in (3, 5, 6, 10, 20):
+        p = build_problem([random_compact_set(rng, 2) for _ in range(n)])
+        tight = project_onto(p.range_space, classical_cycle(p, tol=1e-14))
+        reference = verify_identities(
+            p, CycleSolution(e=tight, d=p.displacement @ tight))
+        assert reference.passed, n
+        for seed in range(3):
+            e = tight + 1e-4 * in_range_direction(p, seed)
+            report = verify_identities(p, CycleSolution(e=e, d=p.displacement @ e))
+            distance = np.linalg.norm(p.displacement @ (e - tight))
+            assert distance <= (report.residuals["error_bound"]
+                                + reference.residuals["error_bound"]), n
+
+
+def test_verify_identities_certifies_caller_built_solutions():
+    p = five_ball_problem()
+    sol = generalized_cycle(p)
+    built = verify_identities(p, CycleSolution(e=sol.e, d=sol.d))
+    assert built.passed
+    assert built.residuals["error_bound"] <= built.thresholds["error_bound"]
+    assert built.residuals == verify_identities(p, sol).residuals
+    # a false carried bound changes nothing, in either direction
+    e = sol.e + 1e-4 * in_range_direction(p, 1)
+    honest = verify_identities(p, CycleSolution(e=e, d=p.displacement @ e))
+    claimed = verify_identities(
+        p, CycleSolution(e=e, d=p.displacement @ e, error_bound=0.0))
+    assert not honest.passed and not claimed.passed
+    assert claimed.residuals == honest.residuals
+    loose = verify_identities(p, CycleSolution(e=sol.e, d=sol.d, error_bound=1e-3))
+    assert loose.passed and loose.residuals == built.residuals
