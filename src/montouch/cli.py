@@ -16,6 +16,7 @@ deterministic for a fixed input file except for ``wall_time_ms``.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,10 +24,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .convex import AffineSet, Ball, Box, Halfspace, Singleton
-from .cycles import build_problem, classical_cycle, generalized_cycle, verify_identities
+from .cycles import (
+    build_problem,
+    classical_cycle,
+    generalized_cycle,
+    touching_pair,
+    verify_identities,
+)
 from .errors import ConvergenceError, ParseError
-from .hilbert import as_operator, invert, orthonormal_range
-from .monotone import SubspaceRestrictedOracle, is_mu_unmonotone
+from .hilbert import as_operator, orthonormal_range
+from .monotone import is_mu_unmonotone
 from .touching import _pass_threshold, touch
 
 @dataclass
@@ -54,29 +61,43 @@ class Report:
     wall_time_ms: float
 
     def to_json(self):
-        doc = {
+        return _json_text({
             "command": self.command,
             "inputs_digest": self.inputs_digest,
-            "outputs": _jsonable(self.outputs),
-            "residuals": _jsonable(self.residuals),
+            "outputs": self.outputs,
+            "residuals": self.residuals,
             "pass": bool(self.passed),
             "iterations": int(self.iterations),
             "wall_time_ms": float(self.wall_time_ms),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        })
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+def _json_text(doc):
+    """Strict JSON for a report: each non-finite number is written as null
+    and its key path listed under ``nonfinite``, instead of the
+    ``Infinity`` / ``NaN`` tokens that JSON does not have."""
+    nonfinite = []
+    doc = _jsonable(doc, "", nonfinite)
+    if nonfinite:
+        doc["nonfinite"] = nonfinite
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _jsonable(obj, path, nonfinite):
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return {str(k): _jsonable(v, f"{path}.{k}" if path else str(k), nonfinite)
+                for k, v in obj.items()}
+    if isinstance(obj, np.ndarray) and np.all(np.isfinite(obj)):
+        return obj.astype(float).tolist()  # finite: no per-entry paths to build
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v, f"{path}[{i}]", nonfinite) for i, v in enumerate(obj)]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        if math.isfinite(obj):
+            return float(obj)
+        nonfinite.append(path)
+        return None
     return obj
 
 
@@ -243,9 +264,9 @@ def execute(command, args):
 
     if command in ("touch", "fixed-point"):
         # fixed-point is touch on Q = T^{-1}: the same solve and the same gate
-        oracle = SubspaceRestrictedOracle(problem.support_sum, problem.range_space)
+        oracle, q = touching_pair(problem)
         res = touch(
-            oracle, invert(problem.displacement_on_range), args.lam,
+            oracle, q, args.lam,
             tol=settings.tolerance, max_iter=settings.max_iterations,
             gamma=settings.gamma if args.gamma is None else args.gamma,
         )
@@ -344,10 +365,11 @@ def build_parser():
         if name in ("touch", "fixed-point"):
             p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                            help="quadratic-form gate constant (default 0.5); "
-                                "it only gates, the step uses -max eig sym(Q)")
+                                "it only gates, the step comes from Q itself")
             p.add_argument("--gamma", type=_gamma_flag, default=None,
-                           help='override step size: "auto" or a number in the '
-                                'certified interval (0, 2 lam / beta^2)')
+                           help='override step size: "auto" (the step that '
+                                'minimises rho = ||I + gamma Q||) or a number '
+                                'with ||I + gamma Q|| < 1')
 
     return parser
 
@@ -362,14 +384,13 @@ def main(argv=None):
     try:
         report = execute(args.command, args)
     except ConvergenceError as err:
-        doc = {
+        print(_json_text({
             "command": args.command,
             "error": "convergence",
             "message": str(err),
             "residual": err.residual,
             "iterations": err.iterations,
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        }))
         return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -12,10 +12,12 @@ unique e in ran S with e in dg(S e) for g = (summed support functions) +
 (indicator of ran S); the generalized gap vector is d = S e.  When the sets
 admit a classical projection cycle x, S x = S e ties the two notions
 together.  With Q = T^{-1} the cycle is the touching point d = S e, e = Q d
-of that subdifferential and Q, where sym(Q) = -I/2 and ||Q|| = 1/(2 sin(pi/N)),
-so the certified step is 2 sin^2(pi/N) and the factor rho = cos(pi/N).
-``verify_identities`` certifies any e with the touching error bound, and
-the classical identities when a cycle is given.
+of that subdifferential and Q (``touching_pair``).  Q is a normal circulant
+with sym(Q) = -I/2 and ||Q|| = 1/(2 sin(pi/N)), so its step norm is
+||I + gamma Q||^2 = 1 - gamma + gamma^2 ||Q||^2, smallest at the step
+2 sin^2(pi/N), where rho = cos(pi/N).  ``verify_identities`` certifies any e
+with the touching error bound, and the classical identities when a cycle is
+given.
 """
 
 import math
@@ -27,7 +29,7 @@ from .convex import ConvexSet, Indicator, SeparableSum, Support
 from .errors import DegenerateProblemError
 from .hilbert import BlockCirculant, as_vector, invert, project_onto
 from .monotone import SubspaceRestrictedOracle
-from .touching import VerificationReport, _certificate, _pass_threshold, fixed_point
+from .touching import VerificationReport, _certificate, _pass_threshold, touch
 
 
 class ZeroSumSubspace:
@@ -118,17 +120,29 @@ def build_problem(sets):
     )
 
 
+def touching_pair(problem):
+    """The cycle as a touching problem (oracle, Q): the subdifferential of
+    the support sum restricted to ran S, and Q = T^{-1}.
+
+    ``generalized_cycle`` solves this pair, ``verify_identities`` certifies
+    it and the CLI's ``touch`` and ``fixed-point`` run it, so all of them
+    step and certify with the same Q.
+    """
+    oracle = SubspaceRestrictedOracle(problem.support_sum, problem.range_space)
+    return oracle, invert(problem.displacement_on_range)
+
+
 def generalized_cycle(problem, tol=1e-10, max_iter=100000):
     """Compute the generalized cycle and gap vector of the family.
 
     Solves the fixed-point problem e in (subdifferential of the support
-    sum restricted to ran S)(T e) and sets d = S e, with the solve's
-    certified ``error_bound`` on d; ``verify_identities`` checks the result.
+    sum restricted to ran S)(T e) as the touching problem of
+    ``touching_pair``, whose touching point is d = S e with e = Q d, and
+    carries the solve's certified ``error_bound`` on d;
+    ``verify_identities`` checks the result.
     """
-    oracle = SubspaceRestrictedOracle(problem.support_sum, problem.range_space)
-    result = fixed_point(
-        oracle, problem.displacement_on_range, 0.5, tol=tol, max_iter=max_iter
-    )
+    oracle, q = touching_pair(problem)
+    result = touch(oracle, q, 0.5, tol=tol, max_iter=max_iter)
     e = result.e
     return CycleSolution(
         e=e, d=problem.displacement @ e, iterations=result.iterations,
@@ -205,8 +219,7 @@ def verify_identities(problem, solution):
     f_conj = problem.support_sum
     threshold = _pass_threshold(se)
 
-    oracle = SubspaceRestrictedOracle(f_conj, problem.range_space)
-    _, bound = _certificate(oracle, invert(problem.displacement_on_range), se)
+    _, bound = _certificate(*touching_pair(problem), se)
     residuals = {
         "error_bound": bound,
         "range_membership": float(

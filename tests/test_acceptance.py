@@ -213,20 +213,30 @@ def test_criterion_04_contraction_rate_bound(report):
         g = rng.normal(size=(dim, dim))
         oracle = LinearMonotoneOracle(g @ g.T * 0.5)
         q = random_gate_matrix(rng, dim, lam=0.5)
-        res = touch(oracle, q, 0.5, start=rng.normal(scale=5.0, size=dim))
-        steps = res.step_norms
-        # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2
-        bound = np.sqrt(1.0 - 2.0 * res.gamma * 0.5
-                        + res.gamma ** 2 * float(np.linalg.norm(q, 2)) ** 2)
-        assert res.rho == pytest.approx(bound, abs=1e-12)
-        ratios = [steps[i + 1] / steps[i]
-                  for i in range(len(steps) - 1) if steps[i] > 1e-12]
-        assert ratios
-        worst_excess = max(worst_excess, max(ratios) - bound)
+        start = rng.normal(scale=5.0, size=dim)
+        beta = float(np.linalg.norm(q, 2))
+        # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2,
+        # so the step lam / beta^2 has the bound sqrt(1 - gamma + gamma^2 beta^2)
+        gamma0 = 0.5 / beta**2
+        bound0 = np.sqrt(1.0 - gamma0 + gamma0**2 * beta**2)
+        # plain F steps at the default step against its factor ||I + gamma Q||,
+        # and at lam / beta^2 against the bound, which that factor never exceeds
+        auto = touch(oracle, q, 0.5, start=start)
+        plain = touch(oracle, q, 0.5, gamma=gamma0, start=start)
+        assert auto.rho <= plain.rho + 1e-12
+        for res, bound in ((auto, auto.rho), (plain, bound0)):
+            rho = float(np.linalg.norm(np.eye(dim) + res.gamma * q, 2))
+            assert res.rho == pytest.approx(rho, abs=1e-12)
+            assert res.rho <= bound + 1e-12
+            steps = res.step_norms
+            ratios = [steps[i + 1] / steps[i]
+                      for i in range(len(steps) - 1) if steps[i] > 1e-12]
+            assert ratios
+            worst_excess = max(worst_excess, max(ratios) - bound)
     ok = worst_excess <= 0.05
     report(4, ok,
-           f"50 linear instances, max contraction excess over bound "
-           f"{worst_excess:+.3f} (allowed +0.05)")
+           f"50 linear instances at two steps, max contraction excess over "
+           f"the certified factor {worst_excess:+.3f} (allowed +0.05)")
 
 
 def test_criterion_05_moreau_and_firm_nonexpansiveness(report):

@@ -6,6 +6,7 @@ input file (all keys except wall_time_ms).
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from montouch import cli
-from montouch.errors import ParseError
+from montouch.errors import ConvergenceError, ParseError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -326,6 +327,46 @@ def test_exit_2_on_iteration_cap(capsys):
     assert doc["error"] == "convergence"
     assert doc["iterations"] == 2
     assert doc["residual"] > 0
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_are_strict_json(capsys, tmp_path, monkeypatch):
+    # JSON has no Infinity or NaN: a non-finite number is written as null
+    # and its key path is listed under "nonfinite".  On an unbounded strip
+    # the Fenchel energy of verify and the conjugate value are infinite.
+    path = write_json(tmp_path, "strip.json", {"base_dimension": 2, "sets": [
+        {"type": "halfspace", "normal": [0.6, 0.8], "offset": -2.0},
+        {"type": "ball", "center": [3.0, 4.0], "radius": 1.0},
+        {"type": "box", "lower": [-math.inf, 0.0], "upper": [math.inf, 1.0]},
+    ]})
+    out_file = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--problem", path, "--out", str(out_file))
+    assert code == 3
+    doc = strict_json(out)
+    assert strict_json(out_file.read_text(encoding="utf-8")) == doc
+    assert doc["nonfinite"] == ["outputs.conjugate_identity_value",
+                                "residuals.fenchel_energy"]
+    assert doc["residuals"]["fenchel_energy"] is None
+    assert doc["outputs"]["conjugate_identity_value"] is None
+
+    # the exit-2 document of a solve that stopped on a non-finite step
+    def diverge(*args, **kwargs):
+        raise ConvergenceError("non-finite iterate", residual=math.nan, iterations=1)
+
+    monkeypatch.setattr(cli, "touch", diverge)
+    code, out, _ = run_cli(capsys, "touch", "--problem", TWO_BALL)
+    assert code == 2
+    doc = strict_json(out)
+    assert doc["residual"] is None and doc["nonfinite"] == ["residual"]
+
+    code, out, _ = run_cli(capsys, "cycle", "--problem", TWO_BALL)
+    assert code == 0 and "nonfinite" not in strict_json(out)
 
 
 def test_exit_0_writes_out_file(capsys, tmp_path):

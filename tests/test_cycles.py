@@ -21,10 +21,12 @@ from montouch import (
     operator_norm,
     orthonormal_range,
     project_onto,
+    touch,
     verify_identities,
 )
 from helpers import cyclic_shift, dense, isometry_defect, random_compact_set
 from montouch import monotone
+from montouch.cycles import touching_pair
 from montouch.monotone import sum_prox
 
 
@@ -163,6 +165,24 @@ def test_two_ball_cycle_is_one_exact_step():
     assert np.array_equal(sol.d, d_expected)
     assert np.array_equal(sol.e, e_expected)
     assert sol.error_bound == 0.0
+
+
+def test_cycle_keeps_the_closed_form_step():
+    # sym(Q) = -I/2 on every mode of the normal circulant Q = T^{-1}, so
+    # ||I + gamma Q||^2 = 1 - gamma + gamma^2 ||Q||^2 and the step lam / beta^2
+    # = 2 sin^2(pi/N) is its exact minimiser, with rho = cos(pi/N).  N equal
+    # singletons have the gap vector 0, which the first step from 0 reaches.
+    for n in range(2, 21):
+        p = build_problem([Singleton([0.0, 0.0])] * n)
+        oracle, q = touching_pair(p)
+        res = touch(oracle, q, 0.5)
+        assert res.iterations == 1
+        assert res.gamma == pytest.approx(2.0 * math.sin(math.pi / n) ** 2, abs=1e-12)
+        assert res.rho == pytest.approx(math.cos(math.pi / n), abs=1e-12)
+        assert verify_identities(p, CycleSolution(e=res.e, d=res.d)).passed
+    assert res.rho > 0.98  # N = 20
+    p = build_problem([Singleton([0.0])] * 2)
+    assert touch(*touching_pair(p), 0.5).rho == 0.0
 
 
 def test_two_ball_classical_cycle():

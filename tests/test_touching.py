@@ -111,10 +111,13 @@ def test_touch_rejects_mismatched_dimensions():
 
 
 def test_touch_rejects_bad_gamma():
-    # lam = -max eig sym(Q) = 1 and beta = 1, so the certified interval is
-    # (0, 2 lam / beta^2) = (0, 2), whatever gate constant the caller passes
-    for gamma in (0.0, 2.0):
-        with pytest.raises(ValueError, match=r"certified interval \(0, 2\.0+e\+00\)"):
+    # Q = -I: rho(gamma) = ||I + gamma Q|| = |1 - gamma|, so the certified
+    # interval {gamma > 0 : rho(gamma) < 1} is (0, 2), whatever gate constant
+    # the caller passes
+    rule = r"certified interval \{gamma > 0 : rho\(gamma\) = \|\|I \+ gamma Q\|\| < 1\}"
+    for gamma, rho in ((0.0, r"inf"), (2.0, r"1\.0+e\+00"), (-0.5, r"inf"),
+                       (math.inf, r"inf"), (math.nan, r"inf")):
+        with pytest.raises(ValueError, match=rule + r": rho\(gamma\) = " + rho):
             touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=gamma)
     for gamma in (0.3, 1.9):
         res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=gamma)
@@ -198,21 +201,61 @@ def test_any_certified_gamma_converges(seed, fraction):
     assert np.linalg.norm(res.d - tight.d) <= res.error_bound + tight.error_bound
 
 
+@settings(deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.01, 4.0))
+def test_step_norm_gates_and_certifies(seed, gamma):
+    # on a dense, generally non-normal Q the default step minimises
+    # rho = ||I + gamma Q||, so it does no worse than lam / beta^2, whose
+    # rho the bound sqrt(1 - lam^2 / beta^2) covers; a given step is
+    # accepted iff rho(gamma) < 1, and then converges within its bound
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 9))  # in R^1 every gate matrix is -lam
+    q = gate_matrix_with_norm(rng, dim, lam=0.5, norm=float(rng.uniform(0.6, 4.0)))
+    if rng.integers(2):
+        oracle = LinearMonotoneOracle(random_monotone_matrix(rng, dim))
+    else:
+        oracle = SubdifferentialOracle(random_prox_function(rng, dim))
+    beta = operator_norm(q)
+    gamma0 = 0.5 / beta**2
+    rho0 = float(np.linalg.norm(np.eye(dim) + gamma0 * q, 2))
+    assert rho0 <= math.sqrt(1.0 - 0.25 / beta**2) + 1e-12
+    tight = touch(oracle, q, 0.5, tol=1e-12)
+    assert tight.rho <= rho0 + 1e-12
+    rho = float(np.linalg.norm(np.eye(dim) + gamma * q, 2))
+    if rho >= 1.0:
+        with pytest.raises(ValueError, match="certified interval"):
+            touch(oracle, q, 0.5, gamma=gamma)
+    elif rho <= 0.95:
+        res = touch(oracle, q, 0.5, tol=1e-8, gamma=gamma)
+        assert res.rho == pytest.approx(rho, abs=1e-12)
+        assert res.error_bound <= 1e-8 * max(1.0, float(np.linalg.norm(res.d)))
+        assert np.linalg.norm(res.d - tight.d) <= res.error_bound + tight.error_bound
+
+
 def test_touch_contraction_bound_linear_instances():
     rng = np.random.default_rng(97)
     for _ in range(10):
         dim = int(rng.integers(2, 6))
         q = random_gate_matrix(rng, dim, lam=0.5)
         oracle = LinearMonotoneOracle(random_monotone_matrix(rng, dim))
-        res = touch(oracle, q, 0.5, start=rng.normal(size=dim))
+        start = rng.normal(size=dim)
         beta = operator_norm(q)
         # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2
-        bound = math.sqrt(1.0 - 2.0 * res.gamma * 0.5 + res.gamma**2 * beta**2)
-        assert res.rho == pytest.approx(bound, abs=1e-12)
-        steps = res.step_norms
-        for a, b in zip(steps, steps[1:]):
-            if a > 1e-12 and b > 1e-12:
-                assert b / a <= bound + 0.05
+        gamma0 = 0.5 / beta**2
+        bound0 = math.sqrt(1.0 - 2.0 * gamma0 * 0.5 + gamma0**2 * beta**2)
+        # the default step against its factor ||I + gamma Q||, then the step
+        # lam / beta^2 against the bound, which that factor never exceeds
+        auto = touch(oracle, q, 0.5, start=start)
+        plain = touch(oracle, q, 0.5, gamma=gamma0, start=start)
+        assert auto.rho <= plain.rho + 1e-12
+        for res, bound in ((auto, auto.rho), (plain, bound0)):
+            rho = float(np.linalg.norm(np.eye(dim) + res.gamma * q, 2))
+            assert res.rho == pytest.approx(rho, abs=1e-12)
+            assert res.rho <= bound + 1e-12
+            steps = res.step_norms
+            for a, b in zip(steps, steps[1:]):
+                if a > 1e-12 and b > 1e-12:
+                    assert b / a <= bound + 0.05
 
 
 def test_fixed_point_shifted_abs():
