@@ -5,6 +5,16 @@ Sets: ball, box (bounds may be infinite), halfspace, affine set, singleton.
 Functions: indicator, support function, weighted squared norm, and separable
 sums over consecutive coordinate blocks.  Extended values use ``math.inf``;
 a support function of an unbounded set really returns +inf off its domain.
+
+Validation contract: the public ``ConvexSet.project(x)`` and
+``ProxFunction.prox(lam, x)`` validate once, in the base class, with
+``as_vector(x, dim)`` and ``_check_step(lam)``, and then call the class's
+kernel, ``_project(v)`` or ``_prox(lam, v)``.  A kernel takes a validated
+float64 vector of the block's length and a checked step, and checks neither
+again.  Composites run kernels on what they validated: ``SeparableSum``
+calls each part's ``_prox`` on a view of its block, and ``Indicator`` and
+``Support`` call their set's ``_project``.  A new set or function
+implements the kernel, not the public method.
 """
 
 import math
@@ -12,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import Subspace, as_vector, project_onto
+from .hilbert import Subspace, as_vector
 
 # Distance tolerance for indicator evaluation / membership checks.
 MEMBERSHIP_TOL = 1e-9
@@ -28,6 +38,10 @@ class ConvexSet:
 
     def project(self, x):
         """Nearest point of the set to ``x``."""
+        return self._project(as_vector(x, dim=self.ambient_dim))
+
+    def _project(self, v):
+        """Kernel of ``project`` on a validated vector of length ambient_dim."""
         raise NotImplementedError
 
     def support(self, u):
@@ -37,7 +51,7 @@ class ConvexSet:
     def contains(self, x, tol=MEMBERSHIP_TOL):
         """Membership up to Euclidean distance ``tol``."""
         v = as_vector(x, dim=self.ambient_dim)
-        return float(np.linalg.norm(v - self.project(v))) <= tol
+        return float(np.linalg.norm(v - self._project(v))) <= tol
 
 
 @dataclass(frozen=True)
@@ -58,8 +72,7 @@ class Ball(ConvexSet):
     def ambient_dim(self):
         return self.center.shape[0]
 
-    def project(self, x):
-        v = as_vector(x, dim=self.ambient_dim)
+    def _project(self, v):
         gap = v - self.center
         dist = float(np.linalg.norm(gap))
         if dist <= self.radius:
@@ -94,8 +107,7 @@ class Box(ConvexSet):
     def ambient_dim(self):
         return self.lower.shape[0]
 
-    def project(self, x):
-        v = as_vector(x, dim=self.ambient_dim)
+    def _project(self, v):
         return np.clip(v, self.lower, self.upper)
 
     def support(self, u):
@@ -124,8 +136,7 @@ class Halfspace(ConvexSet):
     def ambient_dim(self):
         return self.normal.shape[0]
 
-    def project(self, x):
-        v = as_vector(x, dim=self.ambient_dim)
+    def _project(self, v):
         slack = float(self.normal @ v) - self.offset
         if slack <= 0.0:
             return v
@@ -162,9 +173,8 @@ class AffineSet(ConvexSet):
     def ambient_dim(self):
         return self.basepoint.shape[0]
 
-    def project(self, x):
-        v = as_vector(x, dim=self.ambient_dim)
-        return self.basepoint + project_onto(self.directions, v - self.basepoint)
+    def _project(self, v):
+        return self.basepoint + self.directions.project(v - self.basepoint)
 
     def support(self, u):
         # Finite only for u orthogonal to every direction.
@@ -189,8 +199,7 @@ class Singleton(ConvexSet):
     def ambient_dim(self):
         return self.point.shape[0]
 
-    def project(self, x):
-        as_vector(x, dim=self.ambient_dim)
+    def _project(self, v):
         return self.point.copy()
 
     def support(self, u):
@@ -201,7 +210,7 @@ class Singleton(ConvexSet):
 def _check_step(lam):
     lam = float(lam)
     if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("prox step must be positive and finite")
+        raise ValueError("step must be positive and finite")
     return lam
 
 
@@ -218,6 +227,17 @@ class ProxFunction:
         raise NotImplementedError
 
     def prox(self, lam, x):
+        lam = _check_step(lam)
+        z = self._prox(lam, as_vector(x, dim=self.ambient_dim))
+        # kernels do not check their intermediates: Support projects x / lam,
+        # which overflows at a tiny step
+        if not np.isfinite(z).all():
+            raise ValueError(f"prox at step {lam:.3e} is not finite: an intermediate overflowed")
+        return z
+
+    def _prox(self, lam, v):
+        """Kernel of ``prox``: a checked step and a validated vector of
+        length ambient_dim."""
         raise NotImplementedError
 
     def conjugate(self):
@@ -242,10 +262,9 @@ class Indicator(ProxFunction):
     def value(self, x):
         return 0.0 if self.set.contains(x, MEMBERSHIP_TOL) else math.inf
 
-    def prox(self, lam, x):
-        _check_step(lam)
+    def _prox(self, lam, v):
         # projection, independent of the step
-        return self.set.project(as_vector(x, dim=self.ambient_dim))
+        return self.set._project(v)
 
     def conjugate(self):
         return Support(self.set)
@@ -264,10 +283,8 @@ class Support(ProxFunction):
     def value(self, x):
         return self.set.support(as_vector(x, dim=self.ambient_dim))
 
-    def prox(self, lam, x):
-        lam = _check_step(lam)
-        v = as_vector(x, dim=self.ambient_dim)
-        return v - lam * self.set.project(v / lam)
+    def _prox(self, lam, v):
+        return v - lam * self.set._project(v / lam)
 
     def conjugate(self):
         return Indicator(self.set)
@@ -295,9 +312,7 @@ class ScaledSquare(ProxFunction):
         v = as_vector(x, dim=self.dim)
         return 0.5 * self.weight * float(v @ v)
 
-    def prox(self, lam, x):
-        lam = _check_step(lam)
-        v = as_vector(x, dim=self.dim)
+    def _prox(self, lam, v):
         return v / (1.0 + lam * self.weight)
 
     def conjugate(self):
@@ -339,10 +354,8 @@ class SeparableSum(ProxFunction):
                 return math.inf
         return total
 
-    def prox(self, lam, x):
-        lam = _check_step(lam)
-        v = as_vector(x, dim=self.ambient_dim)
-        return np.concatenate([part.prox(lam, block) for part, block in self._blocks(v)])
+    def _prox(self, lam, v):
+        return np.concatenate([part._prox(lam, block) for part, block in self._blocks(v)])
 
     def conjugate(self):
         return SeparableSum(tuple(p.conjugate() for p in self.parts))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ProxFunction
+from .convex import ProxFunction, _check_step
 from .errors import ConvergenceError, PreconditionError
 from .hilbert import (
     as_operator,
@@ -122,7 +122,7 @@ class SubdifferentialOracle(ResolventOracle):
         self.dim = fn.ambient_dim
 
     def resolvent(self, lam, x):
-        return self.fn.prox(lam, as_vector(x, dim=self.dim))
+        return self.fn.prox(lam, x)
 
 
 class LinearMonotoneOracle(ResolventOracle):
@@ -139,9 +139,7 @@ class LinearMonotoneOracle(ResolventOracle):
         self.dim = a.shape[0]
 
     def resolvent(self, lam, x):
-        lam = float(lam)
-        if lam <= 0.0:
-            raise ValueError("resolvent step must be positive")
+        lam = _check_step(lam)
         v = as_vector(x, dim=self.dim)
         return np.linalg.solve(np.eye(self.dim) + lam * self.matrix, v)
 
@@ -187,9 +185,7 @@ def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER)
     below ``tol``; hitting the cap (e.g. because dom fn never meets the
     subspace) raises ConvergenceError carrying the last residual.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("prox step must be positive")
+    lam = _check_step(lam)
     v = as_vector(v, dim=subspace.ambient_dim)
     x = v.copy()
     p = np.zeros_like(v)

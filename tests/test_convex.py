@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import montouch.convex
+import montouch.hilbert
+import montouch.monotone
 from montouch import (
     AffineSet,
     Ball,
@@ -16,7 +19,9 @@ from montouch import (
     ScaledSquare,
     SeparableSum,
     Singleton,
+    SubdifferentialOracle,
     Support,
+    as_vector,
     orthonormal_range,
 )
 from helpers import (
@@ -32,15 +37,48 @@ from helpers import (
 )
 
 
-@st.composite
-def set_prox_functions(draw):
-    """The indicator or the support function of a set of any of the five
-    classes, in R^1 to R^4."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _set_function(draw, rng):
     make = draw(st.sampled_from([random_ball, random_box, random_halfspace,
                                  random_singleton, random_affine]))
     c = make(rng, int(rng.integers(1, 5)))
     return Support(c) if draw(st.booleans()) else Indicator(c)
+
+
+@st.composite
+def set_prox_functions(draw):
+    """The indicator or the support function of a set of any of the five
+    classes, in R^1 to R^4, or a separable sum of one to four of them, whose
+    parts run unvalidated kernels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return _set_function(draw, rng)
+    return SeparableSum(tuple(_set_function(draw, rng)
+                              for _ in range(draw(st.integers(1, 4)))))
+
+
+# One instance of each set and function class, all in R^3.
+SETS = {
+    "ball": Ball([1.0, -2.0, 0.5], 1.5),
+    "box": Box([-1.0, 0.0, -math.inf], [1.0, 2.0, 3.0]),
+    "halfspace": Halfspace([0.6, 0.8, 0.0], -1.0),
+    "affine": AffineSet([1.0, 0.0, 2.0], orthonormal_range(np.array([[1.0], [1.0], [0.0]]))),
+    "singleton": Singleton([2.0, -1.0, 0.0]),
+}
+FUNCTIONS = {
+    "indicator": Indicator(SETS["halfspace"]),
+    "support": Support(SETS["ball"]),
+    "scaled_square": ScaledSquare(2.0, 3),
+    "separable_sum": SeparableSum((Support(Ball([0.0], 1.0)),
+                                   Indicator(Box([0.0, 0.0], [1.0, 1.0])))),
+}
+BAD_VECTORS = {
+    "nan": [0.5, math.nan, 1.0],
+    "inf": [0.5, math.inf, 1.0],
+    "short": [0.5, 1.0],
+    "long": [0.5, 1.0, 2.0, 3.0],
+    "2d": [[0.5, 1.0, 2.0]],
+}
+BAD_STEPS = (math.nan, math.inf, 0.0, -1.0)
 
 
 # ---------------------------------------------------------------- sets
@@ -80,6 +118,24 @@ def test_box_with_infinite_bounds():
         assert wide.support([0.0, -0.5, 0.0, 0.0, 0.0]) == math.inf
         assert wide.support([1.0, 0.0, 2.0, 0.0, 0.0]) == math.inf
         assert wide.support([0.0, 0.0, 0.0, 1e-300, 0.0]) == math.inf
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+def test_project_validates_at_the_boundary(name, bad):
+    with pytest.raises(ValueError):
+        SETS[name].project(BAD_VECTORS[bad])
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_project_equals_its_kernel(name):
+    c = SETS[name]
+    rng = np.random.default_rng(59)
+    for x in 3.0 * rng.normal(size=(20, 3)):
+        # bit for bit, from a list as well as from an array
+        want = c._project(as_vector(x, dim=3)).tobytes()
+        assert c.project(x).tobytes() == want
+        assert c.project(x.tolist()).tobytes() == want
 
 
 def test_box_rejects_inverted_bounds():
@@ -220,6 +276,62 @@ def test_prox_rejects_bad_step():
         f.prox(0.0, [1.0])
     with pytest.raises(ValueError):
         f.prox(-1.0, [1.0])
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_prox_validates_at_the_boundary(name):
+    f = FUNCTIONS[name]
+    for bad in BAD_VECTORS.values():
+        with pytest.raises(ValueError):
+            f.prox(1.0, bad)
+    for lam in BAD_STEPS:
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            f.prox(lam, [0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_prox_equals_its_kernel(name):
+    f = FUNCTIONS[name]
+    rng = np.random.default_rng(61)
+    for x in 3.0 * rng.normal(size=(20, 3)):
+        for lam in (0.05, 1.0, 20.0):
+            want = f._prox(lam, as_vector(x, dim=3)).tobytes()
+            assert f.prox(lam, x).tobytes() == want
+            assert f.prox(lam, x.tolist()).tobytes() == want
+
+
+def test_prox_rejects_an_overflowing_step():
+    # x / lam overflows inside the kernel; the answer must not come back NaN
+    for f in (Support(Ball([0.0], 1.0)),
+              SeparableSum((ScaledSquare(1.0, 1), Support(Halfspace([1.0], 1.0))))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="is not finite"):
+                f.prox(1e-320, np.ones(f.ambient_dim))
+
+
+def test_composite_prox_validates_once(monkeypatch):
+    # Support(Ball) / Indicator(Box) parts validate no block of their own:
+    # one call, one as_vector, where validating every part took 2k + 1.
+    calls = []
+
+    def counted(x, dim=None):
+        calls.append(dim)
+        return as_vector(x, dim)
+
+    for module in (montouch.convex, montouch.monotone, montouch.hilbert):
+        monkeypatch.setattr(module, "as_vector", counted)
+    parts = (Support(Ball([1.0, -1.0], 0.5)), Indicator(Box([0.0] * 3, [1.0] * 3)),
+             Support(Ball([2.0], 1.0)), Indicator(Box([-1.0, -1.0], [0.0, 1.0])))
+    f = SeparableSum(parts)
+    x = np.linspace(-2.0, 3.0, f.ambient_dim)
+    blockwise = np.concatenate([parts[0].prox(0.7, x[:2]), parts[1].prox(0.7, x[2:5]),
+                                parts[2].prox(0.7, x[5:6]), parts[3].prox(0.7, x[6:])])
+    calls.clear()
+    assert np.array_equal(f.prox(0.7, x), blockwise)
+    assert calls == [8]
+    calls.clear()
+    assert np.array_equal(SubdifferentialOracle(f).resolvent(0.7, x), blockwise)
+    assert calls == [8]
 
 
 def test_prox_optimality_sampled():

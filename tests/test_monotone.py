@@ -213,6 +213,21 @@ def test_sum_prox_rejects_bad_step():
         sum_prox(zero_function(2), DIAGONAL, 0.0, np.zeros(2))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+def test_every_resolvent_rejects_bad_steps(lam):
+    fn = SeparableSum((Support(Box([-1.0], [1.0])), Indicator(Box([0.0], [2.0]))))
+    x = np.array([1.0, -0.5])
+    calls = (
+        lambda: LinearMonotoneOracle(np.diag([1.0, 3.0])).resolvent(lam, x),
+        lambda: SubdifferentialOracle(fn).resolvent(lam, x),
+        lambda: SubspaceRestrictedOracle(fn, DIAGONAL).resolvent(lam, x),
+        lambda: sum_prox(fn, DIAGONAL, lam, x),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            call()
+
+
 def test_sum_prox_optimality_sampled():
     rng = np.random.default_rng(79)
     for _ in range(15):
