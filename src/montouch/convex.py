@@ -6,15 +6,23 @@ Functions: indicator, support function, weighted squared norm, and separable
 sums over consecutive coordinate blocks.  Extended values use ``math.inf``;
 a support function of an unbounded set really returns +inf off its domain.
 
-Validation contract: the public ``ConvexSet.project(x)`` and
-``ProxFunction.prox(lam, x)`` validate once, in the base class, with
+Validation contract: the public ``ConvexSet.project(x)``,
+``ConvexSet.support(u)``, ``ProxFunction.prox(lam, x)`` and
+``ProxFunction.value(x)`` validate once, in the base class, with
 ``as_vector(x, dim)`` and ``_check_step(lam)``, and then call the class's
-kernel, ``_project(v)`` or ``_prox(lam, v)``.  A kernel takes a validated
-float64 vector of the block's length and a checked step, and checks neither
-again.  Composites run kernels on what they validated: ``SeparableSum``
-calls each part's ``_prox`` on a view of its block, and ``Indicator`` and
-``Support`` call their set's ``_project``.  A new set or function
-implements the kernel, not the public method.
+kernel, ``_project(v)``, ``_support(v)``, ``_prox(lam, v)`` or
+``_value(v)``.  A kernel takes a validated float64 vector of the block's
+length and a checked step, and checks neither again.  Composites run
+kernels on what they validated: ``SeparableSum`` calls each part's
+``_prox`` or ``_value`` on a view of its block, and ``Indicator`` and
+``Support`` call their set's ``_project``, ``_support`` or ``_contains``.
+A new set or function implements the kernel, not the public method.
+
+Kernels on small blocks avoid numpy's Python-level wrappers: the ball's
+projection takes its norm as ``math.sqrt(gap @ gap)`` and the box clamps
+with ``np.minimum`` / ``np.maximum``.  On validated input both are bit for
+bit ``np.linalg.norm`` (which is the square root of the same dot product
+for a 1-d float64 vector) and ``np.clip``.
 """
 
 import math
@@ -46,11 +54,18 @@ class ConvexSet:
 
     def support(self, u):
         """Support value sup { <c, u> : c in the set }; may be +inf."""
+        return self._support(as_vector(u, dim=self.ambient_dim))
+
+    def _support(self, w):
+        """Kernel of ``support`` on a validated vector of length ambient_dim."""
         raise NotImplementedError
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         """Membership up to Euclidean distance ``tol``."""
-        v = as_vector(x, dim=self.ambient_dim)
+        return self._contains(as_vector(x, dim=self.ambient_dim), tol)
+
+    def _contains(self, v, tol):
+        """Kernel of ``contains`` on a validated vector of length ambient_dim."""
         return float(np.linalg.norm(v - self._project(v))) <= tol
 
 
@@ -74,13 +89,12 @@ class Ball(ConvexSet):
 
     def _project(self, v):
         gap = v - self.center
-        dist = float(np.linalg.norm(gap))
+        dist = math.sqrt(gap @ gap)
         if dist <= self.radius:
             return v
         return self.center + (self.radius / dist) * gap
 
-    def support(self, u):
-        w = as_vector(u, dim=self.ambient_dim)
+    def _support(self, w):
         return float(self.center @ w) + self.radius * float(np.linalg.norm(w))
 
 
@@ -108,10 +122,9 @@ class Box(ConvexSet):
         return self.lower.shape[0]
 
     def _project(self, v):
-        return np.clip(v, self.lower, self.upper)
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
-    def support(self, u):
-        w = as_vector(u, dim=self.ambient_dim)
+    def _support(self, w):
         # a zero weight contributes nothing even against an infinite bound
         active = w != 0.0
         terms = w[active] * np.where(w[active] > 0.0, self.upper[active], self.lower[active])
@@ -142,9 +155,8 @@ class Halfspace(ConvexSet):
             return v
         return v - (slack / float(self.normal @ self.normal)) * self.normal
 
-    def support(self, u):
+    def _support(self, w):
         # Finite only along the outward normal ray u = t * normal, t >= 0.
-        w = as_vector(u, dim=self.ambient_dim)
         nn = float(self.normal @ self.normal)
         t = float(self.normal @ w) / nn
         resid = w - t * self.normal
@@ -176,9 +188,8 @@ class AffineSet(ConvexSet):
     def _project(self, v):
         return self.basepoint + self.directions.project(v - self.basepoint)
 
-    def support(self, u):
+    def _support(self, w):
         # Finite only for u orthogonal to every direction.
-        w = as_vector(u, dim=self.ambient_dim)
         scale = max(1.0, float(np.linalg.norm(w)))
         tangential = self.directions.basis.T @ w
         if tangential.size and float(np.linalg.norm(tangential)) > DIRECTION_TOL * scale:
@@ -202,8 +213,7 @@ class Singleton(ConvexSet):
     def _project(self, v):
         return self.point.copy()
 
-    def support(self, u):
-        w = as_vector(u, dim=self.ambient_dim)
+    def _support(self, w):
         return float(self.point @ w)
 
 
@@ -224,6 +234,10 @@ class ProxFunction:
     ambient_dim = 0
 
     def value(self, x):
+        return self._value(as_vector(x, dim=self.ambient_dim))
+
+    def _value(self, v):
+        """Kernel of ``value`` on a validated vector of length ambient_dim."""
         raise NotImplementedError
 
     def prox(self, lam, x):
@@ -259,8 +273,8 @@ class Indicator(ProxFunction):
     def ambient_dim(self):
         return self.set.ambient_dim
 
-    def value(self, x):
-        return 0.0 if self.set.contains(x, MEMBERSHIP_TOL) else math.inf
+    def _value(self, v):
+        return 0.0 if self.set._contains(v, MEMBERSHIP_TOL) else math.inf
 
     def _prox(self, lam, v):
         # projection, independent of the step
@@ -280,8 +294,8 @@ class Support(ProxFunction):
     def ambient_dim(self):
         return self.set.ambient_dim
 
-    def value(self, x):
-        return self.set.support(as_vector(x, dim=self.ambient_dim))
+    def _value(self, v):
+        return self.set._support(v)
 
     def _prox(self, lam, v):
         return v - lam * self.set._project(v / lam)
@@ -308,8 +322,7 @@ class ScaledSquare(ProxFunction):
     def ambient_dim(self):
         return self.dim
 
-    def value(self, x):
-        v = as_vector(x, dim=self.dim)
+    def _value(self, v):
         return 0.5 * self.weight * float(v @ v)
 
     def _prox(self, lam, v):
@@ -330,32 +343,30 @@ class SeparableSum(ProxFunction):
         if not parts:
             raise ValueError("separable sum needs at least one part")
         object.__setattr__(self, "parts", parts)
-        ends = np.cumsum([p.ambient_dim for p in parts])
-        object.__setattr__(self, "_ends", ends)
+        blocks, start = [], 0
+        for part in parts:
+            end = start + int(part.ambient_dim)
+            blocks.append((part, slice(start, end)))
+            start = end
+        object.__setattr__(self, "_blocks", tuple(blocks))
 
-    _ends: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    # (part, slice of its coordinate block), built once
+    _blocks: tuple = field(init=False, repr=False, compare=False, default=())
 
     @property
     def ambient_dim(self):
-        return int(self._ends[-1])
+        return self._blocks[-1][1].stop
 
-    def _blocks(self, v):
-        start = 0
-        for part, end in zip(self.parts, self._ends):
-            yield part, v[start:end]
-            start = int(end)
-
-    def value(self, x):
-        v = as_vector(x, dim=self.ambient_dim)
+    def _value(self, v):
         total = 0.0
-        for part, block in self._blocks(v):
-            total += part.value(block)
+        for part, block in self._blocks:
+            total += part._value(v[block])
             if total == math.inf:
                 return math.inf
         return total
 
     def _prox(self, lam, v):
-        return np.concatenate([part._prox(lam, block) for part, block in self._blocks(v)])
+        return np.concatenate([part._prox(lam, v[block]) for part, block in self._blocks])
 
     def conjugate(self):
         return SeparableSum(tuple(p.conjugate() for p in self.parts))

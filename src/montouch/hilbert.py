@@ -25,7 +25,7 @@ def as_vector(x, dim=None):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
@@ -58,7 +58,7 @@ def as_operator(a, square=False):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d operator, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square operator, got shape {m.shape}")

@@ -207,7 +207,8 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
     step_norms = []
     for it in range(1, int(max_iter) + 1):
         y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
-        step = float(np.linalg.norm(y_next - y))
+        diff = y_next - y
+        step = math.sqrt(diff @ diff)
         step_norms.append(step)
         if not math.isfinite(step):
             raise ConvergenceError(
@@ -218,7 +219,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
             )
         y = y_next
         # rho step / (1 - rho) <= tol max(1, ||y||), without the division
-        if rho * step <= (1.0 - rho) * tol * max(1.0, float(np.linalg.norm(y))):
+        if rho * step <= (1.0 - rho) * tol * max(1.0, math.sqrt(y @ y)):
             d = y
             e = q @ d
             residual = _inclusion_residual(oracle, gamma, d, e)

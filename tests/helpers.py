@@ -118,6 +118,28 @@ def gate_matrix_with_norm(rng, dim, lam=0.5, norm=3.0):
     return hi * h - lam * np.eye(dim)
 
 
+def mixed_block_sum(rng, n_parts, block_dim=4):
+    """A separable sum of ``n_parts`` blocks that alternate between the
+    support function of a ball and the indicator of a box, the blocks of
+    the benchmark's generic touching problems."""
+    parts = tuple(Support(random_ball(rng, block_dim)) if k % 2 == 0
+                  else Indicator(random_box(rng, block_dim)) for k in range(n_parts))
+    return SeparableSum(parts)
+
+
+def ball_projection_reference(ball, v):
+    """Nearest point of ``ball`` to ``v``, with the norm from ``np.linalg.norm``."""
+    gap = v - ball.center
+    if np.linalg.norm(gap) <= ball.radius:
+        return v
+    return ball.center + (ball.radius / np.linalg.norm(gap)) * gap
+
+
+def box_projection_reference(box, v):
+    """Nearest point of ``box`` to ``v``, by ``np.clip``."""
+    return np.clip(v, box.lower, box.upper)
+
+
 def random_touch_instance(rng):
     """A touching problem (oracle, Q) at lam = 1/2 in R^1 to R^10: a
     monotone linear map or the normal cone of a compact set, against a

@@ -25,6 +25,8 @@ from montouch import (
     orthonormal_range,
 )
 from helpers import (
+    ball_projection_reference,
+    box_projection_reference,
     random_affine,
     random_ball,
     random_box,
@@ -136,6 +138,75 @@ def test_project_equals_its_kernel(name):
         want = c._project(as_vector(x, dim=3)).tobytes()
         assert c.project(x).tobytes() == want
         assert c.project(x.tolist()).tobytes() == want
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+def test_support_validates_at_the_boundary(name, bad):
+    with pytest.raises(ValueError):
+        SETS[name].support(BAD_VECTORS[bad])
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_support_equals_its_kernel(name):
+    c = SETS[name]
+    for u in 3.0 * np.random.default_rng(67).normal(size=(20, 3)):
+        want = c._support(as_vector(u, dim=3))
+        assert c.support(u) == want and c.support(u.tolist()) == want
+
+
+# Finite coordinates small enough that no difference or dot product of
+# them overflows in R^1 to R^6.
+COORD = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def balls_and_points(draw):
+    """A ball in R^1 to R^6, radius 0 included, and a point anywhere, at
+    its centre or on its sphere."""
+    dim = draw(st.integers(1, 6))
+    center = np.array(draw(st.lists(COORD, min_size=dim, max_size=dim)))
+    radius = draw(st.just(0.0) | st.floats(0.0, 1e150))
+    where = draw(st.sampled_from(["anywhere", "centre", "sphere"]))
+    v = center.copy()
+    if where == "anywhere":
+        v = np.array(draw(st.lists(COORD, min_size=dim, max_size=dim)))
+    elif where == "sphere":
+        u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        if np.linalg.norm(u) > 0.0:
+            v = center + radius * (u / np.linalg.norm(u))
+    return Ball(center, radius), v
+
+
+@st.composite
+def boxes_and_points(draw):
+    """A box in R^1 to R^6 with bounds of any sign, zero or infinite, and
+    a point whose coordinates lie anywhere or on a finite bound."""
+    dim = draw(st.integers(1, 6))
+    bound = st.floats(allow_nan=False) | st.sampled_from([-math.inf, math.inf, -0.0, 0.0])
+    lower, upper, v = [], [], []
+    for _ in range(dim):
+        lo, hi = sorted((draw(bound), draw(bound)))
+        on = draw(st.sampled_from([lo, hi, None]))
+        v.append(on if on is not None and math.isfinite(on)
+                 else draw(st.floats(allow_nan=False, allow_infinity=False)))
+        lower.append(lo)
+        upper.append(hi)
+    return Box(lower, upper), np.array(v)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(case=balls_and_points())
+def test_ball_kernel_is_bitwise_the_norm_form(case):
+    ball, v = case
+    assert ball._project(v).tobytes() == ball_projection_reference(ball, v).tobytes()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(case=boxes_and_points())
+def test_box_kernel_is_bitwise_clip(case):
+    box, v = case
+    assert box._project(v).tobytes() == box_projection_reference(box, v).tobytes()
 
 
 def test_box_rejects_inverted_bounds():
@@ -290,6 +361,13 @@ def test_prox_validates_at_the_boundary(name):
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+def test_value_validates_at_the_boundary(name, bad):
+    with pytest.raises(ValueError):
+        FUNCTIONS[name].value(BAD_VECTORS[bad])
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_prox_equals_its_kernel(name):
     f = FUNCTIONS[name]
     rng = np.random.default_rng(61)
@@ -309,9 +387,9 @@ def test_prox_rejects_an_overflowing_step():
                 f.prox(1e-320, np.ones(f.ambient_dim))
 
 
-def test_composite_prox_validates_once(monkeypatch):
-    # Support(Ball) / Indicator(Box) parts validate no block of their own:
-    # one call, one as_vector, where validating every part took 2k + 1.
+@pytest.fixture
+def validations(monkeypatch):
+    """The ``dim`` of every ``as_vector`` call the library makes."""
     calls = []
 
     def counted(x, dim=None):
@@ -320,6 +398,13 @@ def test_composite_prox_validates_once(monkeypatch):
 
     for module in (montouch.convex, montouch.monotone, montouch.hilbert):
         monkeypatch.setattr(module, "as_vector", counted)
+    return calls
+
+
+def test_composite_prox_validates_once(validations):
+    # Support(Ball) / Indicator(Box) parts validate no block of their own:
+    # one call, one as_vector, where validating every part took 2k + 1.
+    calls = validations
     parts = (Support(Ball([1.0, -1.0], 0.5)), Indicator(Box([0.0] * 3, [1.0] * 3)),
              Support(Ball([2.0], 1.0)), Indicator(Box([-1.0, -1.0], [0.0, 1.0])))
     f = SeparableSum(parts)
@@ -332,6 +417,28 @@ def test_composite_prox_validates_once(monkeypatch):
     calls.clear()
     assert np.array_equal(SubdifferentialOracle(f).resolvent(0.7, x), blockwise)
     assert calls == [8]
+
+
+def test_composite_value_validates_once(validations, monkeypatch):
+    # A sum of three support functions and its conjugate, a sum of three
+    # indicators, validate once per value, where validating every part
+    # took 2k + 1 (7 for three support parts).
+    calls = validations
+    sets = (Ball([1.0, -1.0], 0.5), Box([0.0] * 3, [1.0] * 3), Ball([2.0], 1.0))
+    f = SeparableSum(tuple(Support(c) for c in sets))
+    x = np.array([1.2, -0.9, 0.5, 1.0, 0.0, 2.5])
+    calls.clear()
+    assert f.value(x) == sets[0]._support(x[:2]) + sets[1]._support(x[2:5]) \
+        + sets[2]._support(x[5:])
+    assert calls == [6]
+    calls.clear()
+    assert f.conjugate().value(x) == 0.0
+    assert calls == [6]
+    calls.clear()
+    # the first block lies outside its ball, so the sum stops there
+    monkeypatch.setattr(Box, "_contains", lambda *args: pytest.fail("no early exit"))
+    assert f.conjugate().value(x + 1.0) == math.inf
+    assert calls == [6]
 
 
 def test_prox_optimality_sampled():

@@ -23,6 +23,7 @@ from montouch import (
 )
 from helpers import (
     gate_matrix_with_norm,
+    mixed_block_sum,
     random_gate_matrix,
     random_monotone_matrix,
     random_prox_function,
@@ -256,6 +257,59 @@ def test_touch_contraction_bound_linear_instances():
             for a, b in zip(steps, steps[1:]):
                 if a > 1e-12 and b > 1e-12:
                     assert b / a <= bound + 0.05
+
+
+def _mixed_touch_problem(seed, n_parts):
+    rng = np.random.default_rng(seed)
+    f = mixed_block_sum(rng, n_parts)
+    return SubdifferentialOracle(f), gate_matrix_with_norm(rng, f.ambient_dim, 0.5, 3.0)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(mantissas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+       exponent=st.integers(-150, 150))
+def test_dot_form_norm_is_bitwise_linalg_norm(mantissas, exponent):
+    # touch and the ball kernel take norms as sqrt(v @ v), which numpy's
+    # norm of a 1-d float64 vector also is; zeros included
+    for v in (np.array(mantissas) * 10.0 ** exponent, np.zeros(len(mantissas))):
+        assert math.sqrt(v @ v).hex() == float(np.linalg.norm(v)).hex()
+
+
+def test_touch_step_norms_are_bitwise_linalg_norms():
+    # replaying touch's iterates in the np.linalg.norm form gives the same
+    # step norms and the same answer, bit for bit
+    oracle, q = _mixed_touch_problem(5, 4)
+    res = touch(oracle, q, 0.5)
+    y = np.zeros(oracle.dim)
+    for recorded in res.step_norms:
+        y_next = oracle.resolvent(res.gamma, y + res.gamma * (q @ y))
+        assert recorded.hex() == float(np.linalg.norm(y_next - y)).hex()
+        y = y_next
+    assert res.d.tobytes() == y.tobytes()
+
+
+def test_touch_calls_no_norm_or_clip_per_block(monkeypatch):
+    # Per-block kernels and touch's loop take norms and clamps without
+    # numpy's wrappers: a whole solve calls np.linalg.norm twice (the final
+    # inclusion residual and ||I + gamma Q||) and np.clip never, whatever
+    # the number of parts and iterations.
+    counts = {"norm": 0, "clip": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    problems = [_mixed_touch_problem(11, 3), _mixed_touch_problem(12, 8)]
+    monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+    monkeypatch.setattr(np, "clip", counted("clip", np.clip))
+    iterations = set()
+    for oracle, q in problems:
+        counts.update(norm=0, clip=0)
+        iterations.add(touch(oracle, q, 0.5).iterations)
+        assert counts == {"norm": 2, "clip": 0}
+    assert len(iterations) == 2
 
 
 def test_fixed_point_shifted_abs():
