@@ -3,10 +3,13 @@
 Commands
 --------
 check-unmonotone  --matrix FILE --mu X     strong anti-monotonicity check
-touch             --problem FILE [--lambda X]   touching point of the family
-fixed-point       --problem FILE [--lambda X]   same point via M o T
+touch             --problem FILE             touching point of the family
+fixed-point       --problem FILE             same point via M o T
 cycle             --problem FILE             generalized cycle / gap vector
 verify            --problem FILE             the same plus the classical sweep
+
+The four solve commands also take --tol and --max-iter, checked by the same
+rule as the problem file's solver block.
 
 Exit status: 0 the run passed its checks, 1 input or usage error, 2 a solver
 hit its iteration cap, 3 the run completed but a check failed.  Reports are
@@ -25,6 +28,7 @@ import numpy as np
 
 from .convex import AffineSet, Ball, Box, Halfspace, Singleton
 from .cycles import (
+    CYCLE_LAM,
     build_problem,
     classical_cycle,
     generalized_cycle,
@@ -40,7 +44,6 @@ from .touching import _pass_threshold, touch
 class SolverSettings:
     tolerance: float = 1e-10
     max_iterations: int = 100000
-    gamma: object = "auto"
 
 
 @dataclass
@@ -106,11 +109,38 @@ def _require(cond, message):
         raise ParseError(message)
 
 
+# json.loads yields exactly int or float for a number; true / false load as
+# bool, which isinstance would count as an int
+_NUMBER_TYPES = {int, float}
+
+
+def _is_number(value):
+    return type(value) in _NUMBER_TYPES
+
+
+def _all_numbers(values):
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
+def _tolerance(value, where):
+    """The tolerance rule for the problem file and --tol alike."""
+    _require(_is_number(value) and 0 < value < math.inf,
+             f"{where} must be a positive finite number")
+    return float(value)
+
+
+def _max_iterations(value, where):
+    """The iteration-cap rule for the problem file and --max-iter alike."""
+    _require(type(value) is int and value >= 1,
+             f"{where} must be a positive integer")
+    return value
+
+
 def _vector_field(entry, key, dim, where):
     _require(key in entry, f"{where}.{key} is missing")
     value = entry[key]
     _require(
-        isinstance(value, list) and all(isinstance(v, (int, float)) for v in value),
+        isinstance(value, list) and _all_numbers(value),
         f"{where}.{key} must be a list of numbers",
     )
     _require(
@@ -123,7 +153,7 @@ def _vector_field(entry, key, dim, where):
 def _number_field(entry, key, where):
     _require(key in entry, f"{where}.{key} is missing")
     value = entry[key]
-    _require(isinstance(value, (int, float)), f"{where}.{key} must be a number")
+    _require(_is_number(value), f"{where}.{key} must be a number")
     return float(value)
 
 
@@ -175,7 +205,7 @@ def parse_problem(path):
     _require(isinstance(doc, dict), "problem file must contain a JSON object")
     _require("base_dimension" in doc, "base_dimension is missing")
     dim = doc["base_dimension"]
-    _require(isinstance(dim, int) and dim >= 1, "base_dimension must be a positive integer")
+    _require(type(dim) is int and dim >= 1, "base_dimension must be a positive integer")
     _require("sets" in doc, "sets is missing")
     raw_sets = doc["sets"]
     _require(isinstance(raw_sets, list) and len(raw_sets) >= 2,
@@ -188,21 +218,14 @@ def parse_problem(path):
     for key in raw_solver:
         _require(key in solver, f"solver.{key} is not a recognised option")
     solver.update(raw_solver)
-    _require(isinstance(solver["tolerance"], (int, float)) and solver["tolerance"] > 0,
-             "solver.tolerance must be a positive number")
-    _require(isinstance(solver["max_iterations"], int) and solver["max_iterations"] >= 1,
-             "solver.max_iterations must be a positive integer")
-    gamma = solver["gamma"]
-    _require(gamma == "auto" or (isinstance(gamma, (int, float)) and gamma > 0),
-             'solver.gamma must be "auto" or a positive number')
 
     spec = ProblemSpec(
         base_dimension=dim,
         sets=sets,
         solver=SolverSettings(
-            tolerance=float(solver["tolerance"]),
-            max_iterations=int(solver["max_iterations"]),
-            gamma=gamma if gamma == "auto" else float(gamma),
+            tolerance=_tolerance(solver["tolerance"], "solver.tolerance"),
+            max_iterations=_max_iterations(solver["max_iterations"],
+                                           "solver.max_iterations"),
         ),
     )
     return spec, digest
@@ -217,7 +240,7 @@ def parse_matrix(path):
         isinstance(rows, list)
         and rows
         and all(
-            isinstance(r, list) and all(isinstance(v, (int, float)) for v in r)
+            isinstance(r, list) and _all_numbers(r)
             for r in rows
         ),
         "matrix must be a non-empty list of rows of numbers",
@@ -257,26 +280,17 @@ def execute(command, args):
     spec, digest = parse_problem(args.problem)
     settings = spec.solver
     if args.tol is not None:
-        settings.tolerance = args.tol
+        settings.tolerance = _tolerance(args.tol, "--tol")
     if args.max_iter is not None:
-        settings.max_iterations = args.max_iter
+        settings.max_iterations = _max_iterations(args.max_iter, "--max-iter")
     problem = build_problem(spec.sets)
 
     if command in ("touch", "fixed-point"):
-        # fixed-point is touch on Q = T^{-1}: the same solve and the same gate
+        # fixed-point is touch on Q = T^{-1}: the same solve as the cycle's
         oracle, q = touching_pair(problem)
-        res = touch(
-            oracle, q, args.lam,
-            tol=settings.tolerance, max_iter=settings.max_iterations,
-            gamma=settings.gamma if args.gamma is None else args.gamma,
-        )
-        outputs = {
-            "d": res.d,
-            "e": res.e,
-            "gamma": res.gamma,
-            "rho": res.rho,
-            "lambda": args.lam,
-        }
+        res = touch(oracle, q, CYCLE_LAM,
+                    tol=settings.tolerance, max_iter=settings.max_iterations)
+        outputs = {"d": res.d, "e": res.e, "gamma": res.gamma, "rho": res.rho}
         return Report(
             command=command,
             inputs_digest=digest,
@@ -299,12 +313,7 @@ def execute(command, args):
                 problem, tol=settings.tolerance, max_iter=settings.max_iterations
             )
         report = verify_identities(problem, solution)
-        outputs = {
-            "d": solution.d,
-            "e": solution.e,
-            "conjugate_identity_value": report.details["conjugate_identity_value"],
-            "thresholds": report.thresholds,
-        }
+        outputs = {"d": solution.d, "e": solution.e, "thresholds": report.thresholds}
         if command == "verify":
             outputs["classical_cycle"] = solution.classical_cycle
         return Report(
@@ -318,18 +327,6 @@ def execute(command, args):
         )
 
     raise ParseError(f"unknown command {command!r}")
-
-
-def _gamma_flag(value):
-    if value == "auto":
-        return value
-    try:
-        parsed = float(value)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError('expected "auto" or a number') from err
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError("gamma must be positive")
-    return parsed
 
 
 def build_parser():
@@ -362,14 +359,6 @@ def build_parser():
     ):
         p = sub.add_parser(name, parents=[solve], help=extra)
         p.add_argument("--problem", required=True, help="JSON problem file")
-        if name in ("touch", "fixed-point"):
-            p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                           help="quadratic-form gate constant (default 0.5); "
-                                "it only gates, the step comes from Q itself")
-            p.add_argument("--gamma", type=_gamma_flag, default=None,
-                           help='override step size: "auto" (the step that '
-                                'minimises rho = ||I + gamma Q||) or a number '
-                                'with ||I + gamma Q|| < 1')
 
     return parser
 

@@ -99,7 +99,6 @@ class VerificationReport:
     residuals: dict
     thresholds: dict
     passed: bool
-    details: dict = field(default_factory=dict)
 
 
 def _inclusion_residual(oracle, gamma, d, e):

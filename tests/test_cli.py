@@ -5,6 +5,7 @@ pins the exact JSON the cycle command must keep producing for a fixed
 input file (all keys except wall_time_ms).
 """
 
+import argparse
 import json
 import math
 import subprocess
@@ -14,7 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from montouch import cli
+from montouch import (
+    build_problem,
+    classical_cycle,
+    cli,
+    generalized_cycle,
+    verify_identities,
+)
 from montouch.errors import ConvergenceError, ParseError
 
 DATA = Path(__file__).parent / "data"
@@ -38,6 +45,13 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_parse_problem_reads_sets_and_solver():
@@ -46,7 +60,6 @@ def test_parse_problem_reads_sets_and_solver():
     assert len(spec.sets) == 2
     assert spec.solver.tolerance == 1e-10
     assert spec.solver.max_iterations == 100000
-    assert spec.solver.gamma == "auto"
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
@@ -95,6 +108,35 @@ def test_parse_problem_solver_defaults(tmp_path):
                {"type": "singleton", "point": [1.0]}],
       "solver": {"seed": 0}},
      "solver.seed is not a recognised option"),
+    # JSON true is a bool, which Python counts as the int 1
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "ball", "center": [5.0, 0.0], "radius": True}]},
+     "sets[1].radius must be a number"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [True, 0.0], "radius": 1.0},
+               {"type": "ball", "center": [5.0, 0.0], "radius": 1.0}]},
+     "sets[0].center must be a list of numbers"),
+    ({"base_dimension": True,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}]},
+     "base_dimension must be a positive integer"),
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"max_iterations": True}},
+     "solver.max_iterations must be a positive integer"),
+    # json.dumps writes the Infinity token, which json.loads accepts
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"tolerance": math.inf}},
+     "solver.tolerance must be a positive finite number"),
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"tolerance": 0}},
+     "solver.tolerance must be a positive finite number"),
 ])
 def test_parse_problem_names_the_bad_field(tmp_path, doc, fragment):
     path = write_json(tmp_path, "bad.json", doc)
@@ -121,6 +163,7 @@ def test_parse_matrix_happy_path():
     ({"matrix": []}, "non-empty"),
     ({"matrix": [[1.0, 2.0], [3.0]]}, "square"),
     ({"matrix": [[1.0, 2.0]]}, "square"),
+    ({"matrix": [[True, 0.0], [0.0, -1.0]]}, "rows of numbers"),
 ])
 def test_parse_matrix_rejects_bad_input(tmp_path, doc, fragment):
     path = write_json(tmp_path, "m.json", doc)
@@ -158,7 +201,7 @@ def test_touch_command_on_singletons(capsys):
     # points 0 and 5 on the line: gap vector (5, -5), cycle midpoint shift
     assert np.allclose(doc["outputs"]["d"], [5.0, -5.0], atol=1e-8)
     assert np.allclose(doc["outputs"]["e"], [-2.5, 2.5], atol=1e-8)
-    assert doc["outputs"]["lambda"] == 0.5
+    assert set(doc["outputs"]) == {"d", "e", "gamma", "rho"}
     # N = 2 gives Q = -I/2, so the step 2 makes one exact step: rho = 0
     assert doc["outputs"]["rho"] == 0.0
     assert doc["iterations"] == 1
@@ -174,30 +217,6 @@ def test_fixed_point_matches_touch(capsys):
     assert np.allclose(a["outputs"]["d"], b["outputs"]["d"], atol=1e-8)
     assert np.allclose(a["outputs"]["e"], b["outputs"]["e"], atol=1e-8)
     assert np.allclose(a["outputs"]["d"], [3.0, 0.0, -3.0, 0.0], atol=1e-8)
-
-
-def test_touch_accepts_lambda_override(capsys):
-    code, out, _ = run_cli(capsys, "touch", "--problem", TWO_SINGLETONS,
-                           "--lambda", "0.25")
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["outputs"]["lambda"] == 0.25
-    # the gate constant only gates: the step and the factor use the
-    # certified -max eig sym(Q) = 1/2 either way
-    assert np.allclose(doc["outputs"]["d"], [5.0, -5.0], atol=1e-8)
-    assert doc["outputs"]["gamma"] == 2.0
-    assert doc["outputs"]["rho"] == 0.0
-
-
-@pytest.mark.parametrize("command", ["touch", "fixed-point"])
-def test_product_space_gate_decides_exit_status(capsys, command):
-    # the cycle operators meet the quadratic gate exactly at lambda = 1/2
-    code, out, err = run_cli(capsys, command, "--problem", TWO_BALL,
-                             "--lambda", "0.6")
-    assert code == 1 and out == "" and "fails" in err
-    code, _, _ = run_cli(capsys, command, "--problem", TWO_BALL,
-                         "--lambda", "0.5")
-    assert code == 0
 
 
 def test_product_space_commands_skip_dense_linear_algebra(capsys, monkeypatch):
@@ -257,6 +276,11 @@ def test_exit_1_on_usage_error(capsys):
     ("verify", "--problem", TWO_BALL, "--gamma", "1000"),
     ("check-unmonotone", "--matrix", NEG_IDENTITY, "--mu", "0.5",
      "--tol", "5", "--max-iter", "0", "--gamma", "1000"),
+    # the step and the gate constant are fixed by the cycle's Q = T^{-1}
+    ("touch", "--problem", TWO_BALL, "--lambda", "0.5"),
+    ("touch", "--problem", TWO_BALL, "--gamma", "auto"),
+    ("fixed-point", "--problem", TWO_BALL, "--lambda", "0.5"),
+    ("fixed-point", "--problem", TWO_BALL, "--gamma", "1.0"),
 ])
 def test_commands_reject_flags_they_do_not_read(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -264,27 +288,69 @@ def test_commands_reject_flags_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-def test_exit_1_on_gamma_outside_certified_interval(capsys, tmp_path):
-    # at gamma = 1000 the forward-backward iteration overflows d to ~1e155
-    rng = np.random.default_rng(5)
-    sets = [{"type": "ball", "center": list(rng.normal(size=2) * 3), "radius": 1.0}
-            for _ in range(5)]
-    path = write_json(tmp_path, "five_ball.json",
-                      {"base_dimension": 2, "sets": sets})
-    code, out, err = run_cli(capsys, "touch", "--problem", path, "--gamma", "1000")
-    assert code == 1 and out == ""
-    assert "certified interval" in err
-    code, _, _ = run_cli(capsys, "touch", "--problem", path)
-    assert code == 0
+def test_build_parser_flag_inventory():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, sub in commands.items()}
+    solve = {"--out", "--tol", "--max-iter", "--problem"}
+    assert flags == {
+        "check-unmonotone": {"--out", "--matrix", "--mu"},
+        "touch": solve, "fixed-point": solve, "cycle": solve, "verify": solve,
+    }
 
 
-@pytest.mark.parametrize("command", ["touch", "fixed-point"])
-def test_gamma_override_reaches_the_solve(capsys, command):
-    # two_ball's certified interval is (0, 4) and its automatic step 2
-    code, out, err = run_cli(capsys, command, "--problem", TWO_BALL, "--gamma", "1000")
-    assert code == 1 and out == "" and "certified interval" in err
-    code, out, _ = run_cli(capsys, command, "--problem", TWO_BALL, "--gamma", "1.0")
-    assert code == 0 and json.loads(out)["outputs"]["gamma"] == 1.0
+def test_exit_1_on_solver_gamma_in_problem_file(capsys, tmp_path):
+    doc = json.loads(Path(TWO_BALL).read_text(encoding="utf-8"))
+    doc["solver"] = {"gamma": "auto"}
+    path = write_json(tmp_path, "gamma.json", doc)
+    for command in ("touch", "fixed-point"):
+        code, out, err = run_cli(capsys, command, "--problem", path)
+        assert code == 1 and out == ""
+        assert "solver.gamma" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+    ("--max-iter", "0"),
+])
+def test_solver_flags_follow_the_problem_file_rule(capsys, flag, value):
+    # unchecked, a negative or NaN tolerance ran on to the iteration cap
+    for command in ("touch", "fixed-point", "cycle", "verify"):
+        code, out, err = run_cli(capsys, command, "--problem", THREE_BALL, flag, value)
+        assert code == 1 and out == ""
+        assert f"{flag} must be a positive" in err
+
+
+@pytest.mark.parametrize("bound", [math.inf, 1e300])
+def test_verify_passes_on_unbounded_strip(capsys, tmp_path, bound):
+    # a half-plane, a ball and a strip whose bounds are +-bound: the support
+    # function of the strip is +inf (or ~1e300) off one direction, which the
+    # certificate and the classical checks never evaluate
+    path = write_json(tmp_path, "strip.json", {"base_dimension": 2, "sets": [
+        {"type": "halfspace", "normal": [0.6, 0.8], "offset": -2.0},
+        {"type": "ball", "center": [3.0, 4.0], "radius": 1.0},
+        {"type": "box", "lower": [-bound, 0.0], "upper": [bound, 1.0]},
+    ]})
+    code, out, _ = run_cli(capsys, "verify", "--problem", path)
+    doc = strict_json(out)
+    assert code == 0 and doc["pass"] is True
+    assert set(doc["residuals"]) == {"error_bound", "range_membership",
+                                     "classical_shift_gap"}
+    assert "nonfinite" not in doc
+
+    code, out, _ = run_cli(capsys, "cycle", "--problem", path)
+    doc = strict_json(out)
+    assert code == 0 and set(doc["residuals"]) == {"error_bound", "range_membership"}
+
+    spec, _ = cli.parse_problem(path)
+    problem = build_problem(spec.sets)
+    solution = generalized_cycle(problem)
+    solution.classical_cycle = classical_cycle(problem)
+    assert solution.classical_cycle is not None
+    assert verify_identities(problem, solution).passed
 
 
 def test_pass_means_certified_distance(capsys, tmp_path):
@@ -329,32 +395,27 @@ def test_exit_2_on_iteration_cap(capsys):
     assert doc["residual"] > 0
 
 
-def strict_json(text):
-    def reject(token):
-        raise ValueError(f"{token} is not JSON")
-
-    return json.loads(text, parse_constant=reject)
-
-
-def test_reports_are_strict_json(capsys, tmp_path, monkeypatch):
+def test_json_text_writes_nonfinite_as_null():
     # JSON has no Infinity or NaN: a non-finite number is written as null
-    # and its key path is listed under "nonfinite".  On an unbounded strip
-    # the Fenchel energy of verify and the conjugate value are infinite.
-    path = write_json(tmp_path, "strip.json", {"base_dimension": 2, "sets": [
-        {"type": "halfspace", "normal": [0.6, 0.8], "offset": -2.0},
-        {"type": "ball", "center": [3.0, 4.0], "radius": 1.0},
-        {"type": "box", "lower": [-math.inf, 0.0], "upper": [math.inf, 1.0]},
-    ]})
-    out_file = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "verify", "--problem", path, "--out", str(out_file))
-    assert code == 3
-    doc = strict_json(out)
-    assert strict_json(out_file.read_text(encoding="utf-8")) == doc
-    assert doc["nonfinite"] == ["outputs.conjugate_identity_value",
-                                "residuals.fenchel_energy"]
-    assert doc["residuals"]["fenchel_energy"] is None
-    assert doc["outputs"]["conjugate_identity_value"] is None
+    # and its key path is listed under "nonfinite"
+    doc = strict_json(cli._json_text({
+        "a": math.inf,
+        "b": [1.0, -math.inf, {"c": math.nan}],
+        "d": np.array([0.5, np.nan]),
+        "e": {"f": np.array([[np.inf], [2.0]])},
+        "g": np.array([1.0, 2.0]),
+        "h": np.float64(3.0),
+    }))
+    assert doc["nonfinite"] == ["a", "b[1]", "b[2].c", "d[1]", "e.f[0][0]"]
+    assert doc["a"] is None
+    assert doc["b"] == [1.0, None, {"c": None}]
+    assert doc["d"] == [0.5, None]
+    assert doc["e"] == {"f": [[None], [2.0]]}
+    assert doc["g"] == [1.0, 2.0] and doc["h"] == 3.0
+    assert "nonfinite" not in strict_json(cli._json_text({"a": [1.0], "b": 2}))
 
+
+def test_reports_are_strict_json(capsys, monkeypatch):
     # the exit-2 document of a solve that stopped on a non-finite step
     def diverge(*args, **kwargs):
         raise ConvergenceError("non-finite iterate", residual=math.nan, iterations=1)
