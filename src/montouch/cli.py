@@ -20,9 +20,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -363,6 +365,15 @@ def build_parser():
     return parser
 
 
+def _print(text):
+    # a reader that closes stdout early (``| head``) ends the output, not the
+    # run; stdout then points at the null device, so the flush at exit passes
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -373,7 +384,7 @@ def main(argv=None):
     try:
         report = execute(args.command, args)
     except ConvergenceError as err:
-        print(_json_text({
+        _print(_json_text({
             "command": args.command,
             "error": "convergence",
             "message": str(err),
@@ -386,10 +397,13 @@ def main(argv=None):
         return 1
 
     text = report.to_json()
-    print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+            return 1
+    _print(text)
     return 0 if report.passed else 3
 
 

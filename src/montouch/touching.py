@@ -13,18 +13,17 @@ factor of its linear part, the step norm
     rho(gamma)^2 = max_{||y|| = 1} 1 + 2 gamma <y, Qy> + gamma^2 ||Qy||^2,
 
 the top eigenvalue of I + gamma (Q + Q^T) + gamma^2 Q^T Q.  Each term of
-the maximum is a convex quadratic in gamma, so rho^2 is convex and the steps
-with rho(gamma) < 1 form an interval, the certified interval.  With
-lam = -max_sym_eigenvalue(Q), the largest constant for which the gate holds,
-and beta = ||Q||, every term is at most 1 - 2 gamma lam + gamma^2 beta^2, so
-the interval contains (0, 2 lam / beta^2) and rho(lam / beta^2) is at most
-sqrt(1 - lam^2 / beta^2).  Taking y on top of sym(Q) gives
-rho(gamma) >= |1 - gamma lam|.  The default step minimises rho by a golden
-section search within rho(lam / beta^2) / lam of 1 / lam, and keeps
-lam / beta^2 unless the search clearly beats it.  That step is already the
-minimiser where every eigenvalue of sym(Q) is -lam: on Q = -lam I, where
-rho = 0 and one step is exact, and on the generalized cycle's normal Q,
-where rho = cos(pi/N).  On a non-normal Q the minimiser can lie well outside
+the maximum is a convex quadratic in gamma, so rho^2 is convex.  With
+lam = -max_sym_eigenvalue(Q) and beta = ||Q||, every term is at most
+1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
+sqrt(1 - lam^2 / beta^2); taking y on top of sym(Q) gives
+rho(gamma) >= |1 - gamma lam|, so no step contracts when lam <= 0.  The
+step, like rho, comes from Q alone: a golden section search within
+rho(lam / beta^2) / lam of 1 / lam minimises rho, and lam / beta^2 stays
+unless the search clearly beats it.  That step is already the minimiser
+where every eigenvalue of sym(Q) is -lam: on Q = -lam I, where rho = 0 and
+one step is exact, and on the generalized cycle's normal Q, where
+rho = cos(pi/N).  On a non-normal Q the minimiser can lie well outside
 (0, 2 lam / beta^2) and contract much faster.
 
 The contraction certifies any candidate d: since F(d*) = d*,
@@ -32,8 +31,8 @@ The contraction certifies any candidate d: since F(d*) = d*,
     ||d - d*|| <= ||F(d) - d|| + ||F(d) - F(d*)|| <= ||F(d) - d|| + rho ||d - d*||,
 
 so ||d - d*|| <= ||F(d) - d|| / (1 - rho).  ``touch`` reports this bound
-for its answer; ``verify_touch`` and ``cycles.verify_identities`` recompute it.
-``touch`` also stops on it: after a step y -> y_next,
+for its answer; ``verify_touch`` and ``cycles.verify_identities`` recompute it
+from Q at the same step.  ``touch`` also stops on it: after a step y -> y_next,
 ||F(y_next) - y_next|| <= rho ||y_next - y||, so it stops once
 rho ||y_next - y|| / (1 - rho) <= tol max(1, ||y_next||), and its
 ``error_bound`` then stays within tol max(1, ||d||).  The bound assumes an
@@ -61,7 +60,7 @@ from .hilbert import (
 )
 from .monotone import certified_lambda
 
-# Symmetric eigen-solves the default-step search spends, counting the one at
+# Symmetric eigen-solves the step search spends, counting the one at
 # lam / beta^2; the other 15 shrink the search interval about 500-fold.
 _STEP_SEARCH_SOLVES = 16
 # rho^2 a searched step must save over lam / beta^2 to replace it.
@@ -117,23 +116,13 @@ def _squared_step_norm(q):
     return lambda g: float(np.linalg.eigvalsh(eye + g * sym2 + g * g * gram)[-1])
 
 
-def _step_norm(q, gamma):
-    # rho(gamma) = ||I + gamma Q||, the Lipschitz factor of F; J_{gamma M}
-    # needs a finite gamma > 0, so any other step certifies nothing
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        return math.inf
-    if isinstance(q, BlockCirculant):
-        # clamped at 0 so that rounding keeps rho = 0 where I + gamma Q vanishes
-        return math.sqrt(max(0.0, _squared_step_norm(q)(gamma)))
-    return float(np.linalg.norm(np.eye(q.shape[0]) + gamma * q, 2))
-
-
-def _default_step(q, lam):
-    # The step that minimises rho(gamma), for lam = -max_sym_eigenvalue(Q) > 0.
-    # rho^2 is a maximum of convex quadratics in gamma, hence convex, and
-    # rho(gamma) >= |1 - gamma lam| (take y on top of sym(Q)), so a step that
-    # beats gamma0 = lam / beta^2 lies within rho(gamma0) / lam of 1 / lam.
-    # Golden section there; gamma0 stays unless clearly beaten.
+def _step(q, lam):
+    # (gamma, rho(gamma)) at the step that minimises rho, for
+    # lam = -max_sym_eigenvalue(Q).  rho >= |1 - gamma lam|, so a step that
+    # beats gamma0 = lam / beta^2 lies within rho(gamma0) / lam of 1 / lam,
+    # and with lam <= 0 no step contracts.  Golden section on the convex rho^2.
+    if not lam > 0.0:
+        return math.nan, math.inf
     gamma0 = lam / operator_norm(q) ** 2
     square = _squared_step_norm(q)
     best = square(gamma0)
@@ -151,37 +140,34 @@ def _default_step(q, lam):
             b = lo + _INVPHI * (hi - lo)
             fb = square(b)
     gamma, value = (a, fa) if fa <= fb else (b, fb)
-    return gamma if value < best - _STEP_GAIN else gamma0
+    if not value < best - _STEP_GAIN:
+        gamma, value = gamma0, best
+    # clamped at 0 so that rounding keeps rho = 0 where I + gamma Q vanishes
+    return gamma, math.sqrt(max(0.0, value))
 
 
-def _error_bound(residual, rho):
-    # ||d - d*|| <= ||F(d) - d|| / (1 - rho); a gamma outside the certified
-    # interval (possible in a caller-built result) gives rho >= 1 and no bound
-    return residual / (1.0 - rho) if rho < 1.0 else math.inf
-
-
-def _certificate(oracle, q, d, gamma=None):
-    # ||F(d) - d|| and its error bound, at touch's default step unless given
-    if gamma is None:
-        gamma = _default_step(q, -max_sym_eigenvalue(q))
+def _certificate(oracle, q, d):
+    # ||F(d) - d|| and the bound ||F(d) - d|| / (1 - rho) on ||d - d*||, at
+    # touch's step; where no step contracts (rho >= 1) nothing is certified
+    gamma, rho = _step(q, -max_sym_eigenvalue(q))
+    if not rho < 1.0:
+        return math.inf, math.inf
     residual = _inclusion_residual(oracle, gamma, d, q @ d)
-    return residual, _error_bound(residual, _step_norm(q, gamma))
+    return residual, residual / (1.0 - rho)
 
 
 def _pass_threshold(x):
     return 1e-6 * max(1.0, float(np.linalg.norm(x)))
 
 
-def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
+def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     """Find the touching point of the monotone oracle and the linear map ``q``.
 
     ``lam`` only gates: the quadratic-form gate <y, Qy> <= -lam ||y||^2 is
-    checked spectrally.  The step and its contraction factor
-    rho = ||I + gamma Q|| come from Q itself: ``gamma="auto"`` is the step
-    that minimises rho, and a given ``gamma`` must lie in the certified
-    interval {gamma > 0 : rho(gamma) < 1}, which contains
-    (0, 2 lam / beta^2) for lam = -max_sym_eigenvalue(Q); ValueError names
-    rho(gamma) otherwise.  Stops once the error bound of the new iterate,
+    checked spectrally.  The step gamma and its contraction factor
+    rho = ||I + gamma Q|| come from Q alone: gamma minimises rho, and
+    ValueError names rho where even that rounds to 1 (lam tiny against
+    ||Q||).  Stops once the error bound of the new iterate,
     rho ||y_next - y|| / (1 - rho), is within tol * max(1, ||y_next||), and
     certifies the answer with ``error_bound``; hitting the cap, or a
     non-finite step, raises ConvergenceError with the last step norm.
@@ -194,13 +180,10 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
     if int(max_iter) < 1:
         raise ValueError("max_iter must be at least 1")
     lam = certified_lambda(q, lam)
-    gamma = _default_step(q, lam) if gamma == "auto" else float(gamma)
-    rho = _step_norm(q, gamma)
+    gamma, rho = _step(q, lam)
     if not rho < 1.0:
         raise ValueError(
-            f"gamma {gamma:.6e} is outside the certified interval "
-            f"{{gamma > 0 : rho(gamma) = ||I + gamma Q|| < 1}}: rho(gamma) = {rho:.6e}"
-        )
+            f"no step contracts: the smallest rho = ||I + gamma Q|| is {rho:.6e}")
 
     y = np.zeros(oracle.dim) if start is None else as_vector(start, dim=oracle.dim)
     step_norms = []
@@ -224,7 +207,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, gamma="auto", start=None):
             residual = _inclusion_residual(oracle, gamma, d, e)
             return TouchResult(
                 d=d, e=e, graph_residual=residual,
-                error_bound=_error_bound(residual, rho),
+                error_bound=residual / (1.0 - rho),
                 iterations=it, gamma=gamma, rho=rho, step_norms=step_norms,
             )
     raise ConvergenceError(
@@ -250,12 +233,13 @@ def fixed_point(oracle, t, lam, tol=1e-10, max_iter=100000):
 def verify_touch(oracle, q, result):
     """Certify a touching result with one resolvent call.
 
-    With F(d) = J_{gamma M}(d + gamma Q d) at the result's gamma, reports
+    With F(d) = J_{gamma M}(d + gamma Q d) at ``touch``'s step, reports
     ``graph_residual`` = ||e - Q d|| + ||F(d) - d|| and ``error_bound`` =
     ||F(d) - d|| / (1 - rho), which bounds the distance from d to the
-    unique touching point.  The factor rho = ||I + gamma Q|| is derived
-    afresh from ``q``, not read from the result; a gamma outside the
-    certified interval gives rho >= 1 and an infinite bound.  Passes iff both stay within 1e-6 * max(1, ||d||).
+    unique touching point.  gamma and rho = ||I + gamma Q|| are derived
+    from ``q``; the result's own ``gamma`` and ``rho`` are never read.  A q
+    that no step contracts (lam = -max_sym_eigenvalue(Q) <= 0) makes both
+    residuals infinite.  Passes iff both stay within 1e-6 * max(1, ||d||).
     """
     q = as_operator(q, square=True)
     d = as_vector(result.d, dim=oracle.dim)
@@ -265,7 +249,7 @@ def verify_touch(oracle, q, result):
             f"operator dimension {q.shape[0]} does not match oracle dimension {oracle.dim}"
         )
 
-    fixed_residual, bound = _certificate(oracle, q, d, result.gamma)
+    fixed_residual, bound = _certificate(oracle, q, d)
     residuals = {
         "graph_residual": float(np.linalg.norm(e - q @ d)) + fixed_residual,
         "error_bound": bound,

@@ -153,6 +153,21 @@ def random_touch_instance(rng):
     return oracle, random_gate_matrix(rng, dim, lam=0.5)
 
 
+def forward_backward_step_norms(oracle, q, gamma, start, rho, tol=1e-10, max_iter=100000):
+    """||y_next - y|| along y_next = J_{gamma M}(y + gamma Q y) from ``start``,
+    until rho ||y_next - y|| / (1 - rho) <= tol max(1, ||y_next||), the stop
+    ``touch`` makes at its own step."""
+    y = np.asarray(start, dtype=float)
+    norms = []
+    for _ in range(max_iter):
+        y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
+        norms.append(float(np.linalg.norm(y_next - y)))
+        y = y_next
+        if rho * norms[-1] <= (1.0 - rho) * tol * max(1.0, float(np.linalg.norm(y))):
+            break
+    return norms
+
+
 def sample_in(set_, rng, spread=4.0):
     """A point of the set, obtained by projecting a random point."""
     return set_.project(spread * rng.normal(size=set_.ambient_dim))

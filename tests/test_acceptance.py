@@ -17,6 +17,7 @@ import pytest
 from helpers import (
     cyclic_shift,
     dense,
+    forward_backward_step_norms,
     isometry_defect,
     random_compact_set,
     random_gate_matrix,
@@ -219,16 +220,17 @@ def test_criterion_04_contraction_rate_bound(report):
         # so the step lam / beta^2 has the bound sqrt(1 - gamma + gamma^2 beta^2)
         gamma0 = 0.5 / beta**2
         bound0 = np.sqrt(1.0 - gamma0 + gamma0**2 * beta**2)
-        # plain F steps at the default step against its factor ||I + gamma Q||,
-        # and at lam / beta^2 against the bound, which that factor never exceeds
+        # plain F steps at touch's step against its factor ||I + gamma Q||,
+        # and F iterated at lam / beta^2 against the bound, which its factor
+        # never exceeds
         auto = touch(oracle, q, 0.5, start=start)
-        plain = touch(oracle, q, 0.5, gamma=gamma0, start=start)
-        assert auto.rho <= plain.rho + 1e-12
-        for res, bound in ((auto, auto.rho), (plain, bound0)):
-            rho = float(np.linalg.norm(np.eye(dim) + res.gamma * q, 2))
-            assert res.rho == pytest.approx(rho, abs=1e-12)
-            assert res.rho <= bound + 1e-12
-            steps = res.step_norms
+        rho0 = float(np.linalg.norm(np.eye(dim) + gamma0 * q, 2))
+        assert auto.rho <= rho0 + 1e-12
+        assert rho0 <= bound0 + 1e-12
+        rho = float(np.linalg.norm(np.eye(dim) + auto.gamma * q, 2))
+        assert auto.rho == pytest.approx(rho, abs=1e-12)
+        plain = forward_backward_step_norms(oracle, q, gamma0, start, rho0)
+        for steps, bound in ((auto.step_norms, auto.rho), (plain, bound0)):
             ratios = [steps[i + 1] / steps[i]
                       for i in range(len(steps) - 1) if steps[i] > 1e-12]
             assert ratios

@@ -8,6 +8,7 @@ input file (all keys except wall_time_ms).
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,32 @@ def test_exit_0_writes_out_file(capsys, tmp_path):
                            "--out", str(out_path))
     assert code == 0
     assert out_path.read_text(encoding="utf-8") == out
+
+
+def test_exit_1_on_unwritable_out(capsys, tmp_path):
+    # a directory cannot be written as a file: exit 1 with no report
+    code, out, err = run_cli(capsys, "touch", "--problem", TWO_SINGLETONS,
+                             "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("touch", "--problem", TWO_BALL), 0),
+    (("touch", "--problem", THREE_BALL, "--tol", "1e-3"), 3),
+    (("cycle", "--problem", THREE_BALL, "--max-iter", "1"), 2),
+])
+def test_closed_stdout_keeps_the_exit_status(monkeypatch, capsys, argv, status):
+    # stdout is a pipe whose reader has gone, as under ``| head``: writing
+    # raises BrokenPipeError, yet the run keeps its status, prints no
+    # traceback, and closing stdout afterwards flushes without an error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(list(argv)) == status
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- stability

@@ -1,5 +1,6 @@
 """Touching-point solver: small frozen problems and the solver contracts."""
 
+import inspect
 import math
 
 import numpy as np
@@ -16,12 +17,12 @@ from montouch import (
     SingularOperatorError,
     SubdifferentialOracle,
     fixed_point,
-    max_sym_eigenvalue,
     operator_norm,
     touch,
     verify_touch,
 )
 from helpers import (
+    forward_backward_step_norms,
     gate_matrix_with_norm,
     mixed_block_sum,
     random_gate_matrix,
@@ -111,30 +112,39 @@ def test_touch_rejects_mismatched_dimensions():
         touch(ShiftedAbsOracle(), -np.eye(2), 0.5)
 
 
-def test_touch_rejects_bad_gamma():
-    # Q = -I: rho(gamma) = ||I + gamma Q|| = |1 - gamma|, so the certified
-    # interval {gamma > 0 : rho(gamma) < 1} is (0, 2), whatever gate constant
-    # the caller passes
-    rule = r"certified interval \{gamma > 0 : rho\(gamma\) = \|\|I \+ gamma Q\|\| < 1\}"
-    for gamma, rho in ((0.0, r"inf"), (2.0, r"1\.0+e\+00"), (-0.5, r"inf"),
-                       (math.inf, r"inf"), (math.nan, r"inf")):
-        with pytest.raises(ValueError, match=rule + r": rho\(gamma\) = " + rho):
-            touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=gamma)
-    for gamma in (0.3, 1.9):
-        res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5, gamma=gamma)
-        assert res.d == pytest.approx(1.0, abs=1e-9)
-        assert res.rho == pytest.approx(abs(1.0 - gamma))
-
-
 def test_touch_iteration_cap():
-    # the automatic step solves Q = -I in one exact step, so the cap is shown
-    # at gamma = 0.5 (rho = 1/2)
+    # the step solves every Q = -lam I in R^1 at once, so the cap is shown on
+    # a rotation: Q = [[-1/2, 1], [-1, -1/2]] has rho = ||I + gamma Q|| > 0.89
+    # at every step
+    oracle = SubdifferentialOracle(Indicator(Box([2.0, 2.0], [3.0, 3.0])))
+    q = [[-0.5, 1.0], [-1.0, -0.5]]
+    assert touch(oracle, q, 0.5).iterations > 2
     with pytest.raises(ConvergenceError) as info:
-        touch(ShiftedAbsOracle(), [[-1.0]], 0.5, max_iter=2, tol=1e-14, gamma=0.5)
+        touch(oracle, q, 0.5, max_iter=2, tol=1e-14)
     assert info.value.iterations == 2
     assert math.isfinite(info.value.residual)
     with pytest.raises(ValueError, match="max_iter"):
         touch(ShiftedAbsOracle(), [[-1.0]], 0.5, max_iter=0)
+
+
+def test_touch_refuses_a_q_no_step_contracts():
+    # lam = 1e-9 against ||Q|| = 1: the smallest rho^2 = 1 - 1e-18 rounds to
+    # 1, so no step certifies anything; on Q = 0 the slack of the gate passes
+    # lam = 1e-13, but -max_sym_eigenvalue(Q) = 0 and rho >= 1 at every step
+    oracle = SubdifferentialOracle(Indicator(Box([0.0, 0.0], [1.0, 1.0])))
+    cases = ((oracle, [[-1e-9, 1.0], [-1.0, -1e-9]], 1e-9, r"1\.0+e\+00"),
+             (ShiftedAbsOracle(), [[0.0]], 1e-13, "inf"))
+    for oracle, q, lam, rho in cases:
+        with pytest.raises(ValueError, match=r"rho = \|\|I \+ gamma Q\|\| is " + rho) as info:
+            touch(oracle, q, lam)
+        assert "interval" not in str(info.value)
+
+
+def test_touch_takes_no_step_option():
+    # the step and rho come from Q alone; the caller sets only the gate,
+    # the stop and the start
+    assert list(inspect.signature(touch).parameters) == [
+        "oracle", "q", "lam", "tol", "max_iter", "start"]
 
 
 def test_touch_raises_on_non_finite_iterate():
@@ -183,32 +193,12 @@ def test_touch_stops_within_its_error_bound():
 
 
 @settings(deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.05, 0.95))
-def test_any_certified_gamma_converges(seed, fraction):
-    # any step in the certified interval (0, 2 lam / beta^2) contracts; the
-    # fraction stays off the ends, where rho -> 1 and the solve never ends
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 7))
-    q = random_gate_matrix(rng, dim, lam=0.5)
-    if rng.integers(2):
-        oracle = LinearMonotoneOracle(random_monotone_matrix(rng, dim))
-    else:
-        oracle = SubdifferentialOracle(random_prox_function(rng, dim))
-    limit = 2.0 * -max_sym_eigenvalue(q) / operator_norm(q) ** 2
-    res = touch(oracle, q, 0.5, tol=1e-8, gamma=fraction * limit)
-    tight = touch(oracle, q, 0.5, tol=1e-12)
-    assert res.rho < 1.0
-    assert res.error_bound <= 1e-8 * max(1.0, float(np.linalg.norm(res.d)))
-    assert np.linalg.norm(res.d - tight.d) <= res.error_bound + tight.error_bound
-
-
-@settings(deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.01, 4.0))
-def test_step_norm_gates_and_certifies(seed, gamma):
-    # on a dense, generally non-normal Q the default step minimises
+@given(seed=st.integers(0, 2**32 - 1))
+def test_step_norm_gates_and_certifies(seed):
+    # on a dense, generally non-normal Q the step minimises
     # rho = ||I + gamma Q||, so it does no worse than lam / beta^2, whose
-    # rho the bound sqrt(1 - lam^2 / beta^2) covers; a given step is
-    # accepted iff rho(gamma) < 1, and then converges within its bound
+    # rho the bound sqrt(1 - lam^2 / beta^2) covers; the solve converges
+    # within its bound
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 9))  # in R^1 every gate matrix is -lam
     q = gate_matrix_with_norm(rng, dim, lam=0.5, norm=float(rng.uniform(0.6, 4.0)))
@@ -220,17 +210,13 @@ def test_step_norm_gates_and_certifies(seed, gamma):
     gamma0 = 0.5 / beta**2
     rho0 = float(np.linalg.norm(np.eye(dim) + gamma0 * q, 2))
     assert rho0 <= math.sqrt(1.0 - 0.25 / beta**2) + 1e-12
+    res = touch(oracle, q, 0.5, tol=1e-8)
     tight = touch(oracle, q, 0.5, tol=1e-12)
-    assert tight.rho <= rho0 + 1e-12
-    rho = float(np.linalg.norm(np.eye(dim) + gamma * q, 2))
-    if rho >= 1.0:
-        with pytest.raises(ValueError, match="certified interval"):
-            touch(oracle, q, 0.5, gamma=gamma)
-    elif rho <= 0.95:
-        res = touch(oracle, q, 0.5, tol=1e-8, gamma=gamma)
-        assert res.rho == pytest.approx(rho, abs=1e-12)
-        assert res.error_bound <= 1e-8 * max(1.0, float(np.linalg.norm(res.d)))
-        assert np.linalg.norm(res.d - tight.d) <= res.error_bound + tight.error_bound
+    assert res.rho == pytest.approx(
+        float(np.linalg.norm(np.eye(dim) + res.gamma * q, 2)), abs=1e-12)
+    assert res.rho <= rho0 + 1e-12
+    assert res.error_bound <= 1e-8 * max(1.0, float(np.linalg.norm(res.d)))
+    assert np.linalg.norm(res.d - tight.d) <= res.error_bound + tight.error_bound
 
 
 def test_touch_contraction_bound_linear_instances():
@@ -244,16 +230,17 @@ def test_touch_contraction_bound_linear_instances():
         # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2
         gamma0 = 0.5 / beta**2
         bound0 = math.sqrt(1.0 - 2.0 * gamma0 * 0.5 + gamma0**2 * beta**2)
-        # the default step against its factor ||I + gamma Q||, then the step
-        # lam / beta^2 against the bound, which that factor never exceeds
+        # touch's step against its factor ||I + gamma Q||, then F iterated
+        # at the step lam / beta^2 against the bound, which its factor
+        # never exceeds
         auto = touch(oracle, q, 0.5, start=start)
-        plain = touch(oracle, q, 0.5, gamma=gamma0, start=start)
-        assert auto.rho <= plain.rho + 1e-12
-        for res, bound in ((auto, auto.rho), (plain, bound0)):
-            rho = float(np.linalg.norm(np.eye(dim) + res.gamma * q, 2))
-            assert res.rho == pytest.approx(rho, abs=1e-12)
-            assert res.rho <= bound + 1e-12
-            steps = res.step_norms
+        rho0 = float(np.linalg.norm(np.eye(dim) + gamma0 * q, 2))
+        assert auto.rho <= rho0 + 1e-12
+        assert rho0 <= bound0 + 1e-12
+        rho = float(np.linalg.norm(np.eye(dim) + auto.gamma * q, 2))
+        assert auto.rho == pytest.approx(rho, abs=1e-12)
+        plain = forward_backward_step_norms(oracle, q, gamma0, start, rho0)
+        for steps, bound in ((auto.step_norms, auto.rho), (plain, bound0)):
             for a, b in zip(steps, steps[1:]):
                 if a > 1e-12 and b > 1e-12:
                     assert b / a <= bound + 0.05
@@ -290,9 +277,9 @@ def test_touch_step_norms_are_bitwise_linalg_norms():
 
 def test_touch_calls_no_norm_or_clip_per_block(monkeypatch):
     # Per-block kernels and touch's loop take norms and clamps without
-    # numpy's wrappers: a whole solve calls np.linalg.norm twice (the final
-    # inclusion residual and ||I + gamma Q||) and np.clip never, whatever
-    # the number of parts and iterations.
+    # numpy's wrappers: a whole solve calls np.linalg.norm once (the final
+    # inclusion residual) and np.clip never, whatever the number of parts
+    # and iterations.
     counts = {"norm": 0, "clip": 0}
 
     def counted(name, fn):
@@ -308,7 +295,7 @@ def test_touch_calls_no_norm_or_clip_per_block(monkeypatch):
     for oracle, q in problems:
         counts.update(norm=0, clip=0)
         iterations.add(touch(oracle, q, 0.5).iterations)
-        assert counts == {"norm": 2, "clip": 0}
+        assert counts == {"norm": 1, "clip": 0}
     assert len(iterations) == 2
 
 
@@ -367,14 +354,25 @@ def test_verify_touch_flags_perturbed_result():
     report = verify_touch(oracle, q, res)
     assert not report.passed
     assert report.residuals["graph_residual"] == pytest.approx(1e-3, rel=0.2)
-    # a step at the end of the certified interval (0, 2) certifies nothing,
-    # whatever factor the result itself carries
+    # the step and rho come from q: a result's own gamma and rho (here
+    # gamma = 2, where rho = 1 certifies nothing, and a false rho = 0)
+    # change no residual
     res = touch(oracle, q, 0.5)
+    honest = verify_touch(oracle, q, res)
     res.gamma = 2.0
     res.rho = 0.0
-    report = verify_touch(oracle, q, res)
-    assert not report.passed
-    assert report.residuals["error_bound"] == math.inf
+    assert verify_touch(oracle, q, res) == honest
+    assert honest.passed
+
+
+def test_verify_touch_fails_where_no_step_contracts():
+    # Q = 1 and Q = 0 fail the gate: -max_sym_eigenvalue(Q) <= 0 leaves
+    # rho >= 1 at every step, so the bound is infinite and the report fails
+    res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5)
+    for q in ([[1.0]], [[0.0]]):
+        report = verify_touch(ShiftedAbsOracle(), q, res)
+        assert report.residuals["error_bound"] == math.inf
+        assert report.passed is False
 
 
 def test_verify_touch_rejects_mismatched_dimensions():
