@@ -156,6 +156,7 @@ def _number_field(entry, key, where):
     _require(key in entry, f"{where}.{key} is missing")
     value = entry[key]
     _require(_is_number(value), f"{where}.{key} must be a number")
+    _require(-math.inf < value < math.inf, f"{where}.{key} must be finite")
     return float(value)
 
 

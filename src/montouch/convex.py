@@ -142,8 +142,11 @@ class Halfspace(ConvexSet):
         n = as_vector(self.normal)
         if float(np.linalg.norm(n)) == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise ValueError("halfspace offset must be finite")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @property
     def ambient_dim(self):

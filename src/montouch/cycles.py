@@ -157,12 +157,13 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
 
     Iterates z -> P_N(... P_1(z) ...) from ``start`` (default 0) until
     ||z_next - z|| <= tol, then unrolls one sweep into
-    x = (x_1, ..., x_N) and checks the cycle property
-    x_i = P_i(x_{i-1}) around the loop.
+    x = (x_1, ..., x_N), so x_i = P_i(x_{i-1}) holds by construction for
+    i > 1.  The wrap-around x_1 = P_1(x_N) is off by at most
+    ||T z - z|| <= tol for the nonexpansive sweep T; ``verify_identities``
+    checks x independently through S x = S e.
     """
     m = problem.base_dim
     z = np.zeros(m) if start is None else as_vector(start, dim=m)
-    converged = False
     for _ in range(int(max_iter)):
         z_next = z
         for c in problem.sets:
@@ -170,27 +171,15 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
         change = float(np.linalg.norm(z_next - z))
         z = z_next
         if change <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         return None
 
     xs = []
-    w = z
     for c in problem.sets:
-        w = c.project(w)
-        xs.append(w)
-    x = np.concatenate(xs)
-
-    # cycle property around the loop; only the wrap-around is nontrivial
-    worst = 0.0
-    prev = xs[-1]
-    for c, xi in zip(problem.sets, xs):
-        worst = max(worst, float(np.linalg.norm(xi - c.project(prev))))
-        prev = xi
-    if worst > 10.0 * tol * max(1.0, float(np.linalg.norm(x))):
-        return None
-    return x
+        z = c.project(z)
+        xs.append(z)
+    return np.concatenate(xs)
 
 
 def verify_identities(problem, solution):

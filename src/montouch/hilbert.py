@@ -98,17 +98,17 @@ class Subspace:
         return self.basis @ (self.basis.T @ x)
 
 
-def orthonormal_range(a, rank_tol=RANK_TOL):
+def orthonormal_range(a):
     """Orthonormal basis of the range of ``a`` via SVD.
 
-    Singular directions with singular value <= rank_tol * sigma_max are
+    Singular directions with singular value <= RANK_TOL * sigma_max are
     discarded, so a zero operator yields the trivial subspace.
     """
     m = as_operator(a)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(np.zeros((m.shape[0], 0)))
-    keep = s > rank_tol * s[0]
+    keep = s > RANK_TOL * s[0]
     return Subspace(u[:, keep])
 
 
@@ -136,10 +136,10 @@ def max_sym_eigenvalue(a):
     return float(np.linalg.eigvalsh(sym)[-1])
 
 
-def invert(a, cond_tol=COND_TOL):
+def invert(a):
     """Inverse of a square operator, guarded by a singular-value ratio gate.
 
-    Raises SingularOperatorError when sigma_min / sigma_max <= cond_tol,
+    Raises SingularOperatorError when sigma_min / sigma_max <= COND_TOL,
     reporting the offending ratio.
     """
     m = as_operator(a, square=True)
@@ -148,9 +148,9 @@ def invert(a, cond_tol=COND_TOL):
     circulant = isinstance(m, BlockCirculant)
     s = np.abs(m.spectrum) if circulant else np.linalg.svd(m, compute_uv=False)
     ratio = float(s.min() / s.max()) if s.max() > 0.0 else 0.0
-    if ratio <= cond_tol:
+    if ratio <= COND_TOL:
         raise SingularOperatorError(
             f"operator is numerically singular: sigma_min/sigma_max = {ratio:.3e}"
-            f" <= {cond_tol:.1e}"
+            f" <= {COND_TOL:.1e}"
         )
     return BlockCirculant(1.0 / m.spectrum, m.block_dim) if circulant else np.linalg.inv(m)

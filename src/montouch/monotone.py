@@ -76,14 +76,16 @@ def certified_lambda(q, lam):
     largest constant for which it holds, -max_sym_eigenvalue(Q).
 
     ``lam`` only gates: the check is spectral (max_sym_eigenvalue(Q) <= -lam
-    up to slack), and PreconditionError reports the offending eigenvalue.
+    up to slack, and below 0 in any case), and PreconditionError reports the
+    offending eigenvalue.
     """
     m = as_operator(q, square=True)
     lam = float(lam)
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
     top = max_sym_eigenvalue(m)
-    if top > -lam + SPECTRAL_SLACK:
+    # the slack forgives rounding against lam, never a top eigenvalue >= 0
+    if top > -lam + SPECTRAL_SLACK or top >= 0.0:
         raise PreconditionError(
             f"<y, Qy> <= -lam ||y||^2 fails: largest symmetric eigenvalue "
             f"{top:.6e} exceeds {-lam:.6e}"
@@ -180,7 +182,9 @@ def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER)
     """argmin_{z in subspace} fn(z) + ||z - v||^2 / (2 lam).
 
     Dykstra's scheme alternating the prox of ``lam * fn`` with the
-    projection onto the subspace.  Stops when both the successive change
+    projection onto the subspace.  The projection needs no correction term:
+    for a linear subspace V that term stays in V^perp, where P_V vanishes.
+    Stops when both the successive change
     of the subspace iterate and the gap between the two half-steps fall
     below ``tol``; hitting the cap (e.g. because dom fn never meets the
     subspace) raises ConvergenceError carrying the last residual.
@@ -189,13 +193,11 @@ def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER)
     v = as_vector(v, dim=subspace.ambient_dim)
     x = v.copy()
     p = np.zeros_like(v)
-    q = np.zeros_like(v)
     residual = math.inf
     for it in range(1, int(max_iter) + 1):
         y = fn.prox(lam, x + p)
         p = x + p - y
-        x_next = project_onto(subspace, y + q)
-        q = y + q - x_next
+        x_next = project_onto(subspace, y)
         residual = max(
             float(np.linalg.norm(x_next - x)),
             float(np.linalg.norm(y - x_next)),

@@ -30,14 +30,14 @@ The contraction certifies any candidate d: since F(d*) = d*,
 
     ||d - d*|| <= ||F(d) - d|| + ||F(d) - F(d*)|| <= ||F(d) - d|| + rho ||d - d*||,
 
-so ||d - d*|| <= ||F(d) - d|| / (1 - rho).  ``touch`` reports this bound
-for its answer; ``verify_touch`` and ``cycles.verify_identities`` recompute it
-from Q at the same step.  ``touch`` also stops on it: after a step y -> y_next,
-||F(y_next) - y_next|| <= rho ||y_next - y||, so it stops once
-rho ||y_next - y|| / (1 - rho) <= tol max(1, ||y_next||), and its
-``error_bound`` then stays within tol max(1, ||d||).  The bound assumes an
-exact resolvent: an oracle that solves an inner problem (``sum_prox`` stops
-on a change of 1e-11) adds its own error, which the bound does not see.
+so ||d - d*|| <= ||F(d) - d|| / (1 - rho).  Each step of ``touch``,
+y -> F(y), is also that certificate of y, so ``touch`` stops at the first
+iterate whose bound ||F(y) - y|| / (1 - rho) is within tol max(1, ||y||)
+and returns that y with that bound: no further resolvent call.  The bound
+holds for any d, but it measures F through the oracle: an oracle that
+solves an inner problem (``sum_prox`` stops on a change of 1e-11) adds an
+error that the bound does not see.  ``verify_touch`` and
+``cycles.verify_identities`` recompute the bound from Q at the same step.
 
 ``fixed_point`` solves y in M(T y) for an invertible T as ``touch`` on
 Q = T^{-1}: substituting y = T x turns <x, Tx> + lam ||Tx||^2 <= 0 into
@@ -45,7 +45,7 @@ the gate <y, Qy> <= -lam ||y||^2 that ``touch`` checks.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +74,11 @@ class TouchResult:
 
     ``d`` is the domain coordinate, ``e`` the common operator value
     (e = Q d, e in M d).  ``graph_residual`` is the M-inclusion residual
-    ||F(d) - d|| = ||J_{gamma M}(d + gamma e) - d||, from one extra
-    resolvent call, and ``error_bound`` = graph_residual / (1 - rho)
+    ||F(d) - d|| = ||J_{gamma M}(d + gamma e) - d||, measured by the last
+    step the solve evaluated, and ``error_bound`` = graph_residual / (1 - rho)
     bounds the distance from ``d`` to the exact touching point.  ``rho`` is
-    the contraction factor ||I + gamma Q|| at ``gamma``.  ``step_norms``
-    records ||y_next - y|| per iteration.
+    the contraction factor ||I + gamma Q|| at ``gamma``; ``iterations``
+    counts the steps that produced ``d``, one fewer than the resolvent calls.
     """
 
     d: np.ndarray
@@ -88,7 +88,6 @@ class TouchResult:
     iterations: int
     gamma: float
     rho: float
-    step_norms: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -98,12 +97,6 @@ class VerificationReport:
     residuals: dict
     thresholds: dict
     passed: bool
-
-
-def _inclusion_residual(oracle, gamma, d, e):
-    # e in M d  iff  J_{gamma M}(d + gamma e) == d
-    back = oracle.resolvent(gamma, d + gamma * e)
-    return float(np.linalg.norm(back - d))
 
 
 def _squared_step_norm(q):
@@ -152,7 +145,9 @@ def _certificate(oracle, q, d):
     gamma, rho = _step(q, -max_sym_eigenvalue(q))
     if not rho < 1.0:
         return math.inf, math.inf
-    residual = _inclusion_residual(oracle, gamma, d, q @ d)
+    # e = Q d is in M d  iff  J_{gamma M}(d + gamma e) == d
+    back = oracle.resolvent(gamma, d + gamma * (q @ d))
+    residual = float(np.linalg.norm(back - d))
     return residual, residual / (1.0 - rho)
 
 
@@ -167,10 +162,10 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     checked spectrally.  The step gamma and its contraction factor
     rho = ||I + gamma Q|| come from Q alone: gamma minimises rho, and
     ValueError names rho where even that rounds to 1 (lam tiny against
-    ||Q||).  Stops once the error bound of the new iterate,
-    rho ||y_next - y|| / (1 - rho), is within tol * max(1, ||y_next||), and
-    certifies the answer with ``error_bound``; hitting the cap, or a
-    non-finite step, raises ConvergenceError with the last step norm.
+    ||Q||).  Iterates y -> F(y) and returns the first y whose certificate
+    ||F(y) - y|| / (1 - rho) is within tol * max(1, ||y||), with that
+    certificate as ``error_bound``; hitting the cap, or a non-finite step,
+    raises ConvergenceError with the last residual ||F(y) - y||.
     """
     q = as_operator(q, square=True)
     if q.shape[0] != oracle.dim:
@@ -186,34 +181,28 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
             f"no step contracts: the smallest rho = ||I + gamma Q|| is {rho:.6e}")
 
     y = np.zeros(oracle.dim) if start is None else as_vector(start, dim=oracle.dim)
-    step_norms = []
-    for it in range(1, int(max_iter) + 1):
+    for it in range(int(max_iter) + 1):
         y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
         diff = y_next - y
-        step = math.sqrt(diff @ diff)
-        step_norms.append(step)
-        if not math.isfinite(step):
+        residual = math.sqrt(diff @ diff)
+        if not math.isfinite(residual):
             raise ConvergenceError(
-                f"touch produced a non-finite iterate at iteration {it} "
+                f"touch produced a non-finite iterate at iteration {it + 1} "
                 f"(gamma {gamma:.3e})",
-                residual=step,
-                iterations=it,
+                residual=residual,
+                iterations=it + 1,
+            )
+        bound = residual / (1.0 - rho)
+        if bound <= tol * max(1.0, math.sqrt(y @ y)):
+            return TouchResult(
+                d=y, e=q @ y, graph_residual=residual, error_bound=bound,
+                iterations=it, gamma=gamma, rho=rho,
             )
         y = y_next
-        # rho step / (1 - rho) <= tol max(1, ||y||), without the division
-        if rho * step <= (1.0 - rho) * tol * max(1.0, math.sqrt(y @ y)):
-            d = y
-            e = q @ d
-            residual = _inclusion_residual(oracle, gamma, d, e)
-            return TouchResult(
-                d=d, e=e, graph_residual=residual,
-                error_bound=residual / (1.0 - rho),
-                iterations=it, gamma=gamma, rho=rho, step_norms=step_norms,
-            )
     raise ConvergenceError(
         f"touch did not converge within {max_iter} iterations "
-        f"(last step {step_norms[-1]:.3e}, gamma {gamma:.3e}, rho {rho:.6f})",
-        residual=step_norms[-1],
+        f"(last residual {residual:.3e}, gamma {gamma:.3e}, rho {rho:.6f})",
+        residual=residual,
         iterations=int(max_iter),
     )
 

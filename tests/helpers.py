@@ -155,16 +155,16 @@ def random_touch_instance(rng):
 
 def forward_backward_step_norms(oracle, q, gamma, start, rho, tol=1e-10, max_iter=100000):
     """||y_next - y|| along y_next = J_{gamma M}(y + gamma Q y) from ``start``,
-    until rho ||y_next - y|| / (1 - rho) <= tol max(1, ||y_next||), the stop
-    ``touch`` makes at its own step."""
+    until ||y_next - y|| / (1 - rho) <= tol max(1, ||y||), the stop ``touch``
+    makes at its own step."""
     y = np.asarray(start, dtype=float)
     norms = []
     for _ in range(max_iter):
         y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
         norms.append(float(np.linalg.norm(y_next - y)))
-        y = y_next
-        if rho * norms[-1] <= (1.0 - rho) * tol * max(1.0, float(np.linalg.norm(y))):
+        if norms[-1] / (1.0 - rho) <= tol * max(1.0, float(np.linalg.norm(y))):
             break
+        y = y_next
     return norms
 
 

@@ -229,8 +229,9 @@ def test_criterion_04_contraction_rate_bound(report):
         assert rho0 <= bound0 + 1e-12
         rho = float(np.linalg.norm(np.eye(dim) + auto.gamma * q, 2))
         assert auto.rho == pytest.approx(rho, abs=1e-12)
+        touched = forward_backward_step_norms(oracle, q, auto.gamma, start, auto.rho)
         plain = forward_backward_step_norms(oracle, q, gamma0, start, rho0)
-        for steps, bound in ((auto.step_norms, auto.rho), (plain, bound0)):
+        for steps, bound in ((touched, auto.rho), (plain, bound0)):
             ratios = [steps[i + 1] / steps[i]
                       for i in range(len(steps) - 1) if steps[i] > 1e-12]
             assert ratios

@@ -138,6 +138,15 @@ def test_parse_problem_solver_defaults(tmp_path):
                {"type": "singleton", "point": [1.0]}],
       "solver": {"tolerance": 0}},
      "solver.tolerance must be a positive finite number"),
+    # a non-finite offset makes every projection onto the halfspace NaN
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "halfspace", "normal": [1.0, 0.0], "offset": math.nan}]},
+     "sets[1].offset must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "halfspace", "normal": [1.0, 0.0], "offset": -math.inf}]},
+     "sets[1].offset must be finite"),
 ])
 def test_parse_problem_names_the_bad_field(tmp_path, doc, fragment):
     path = write_json(tmp_path, "bad.json", doc)

@@ -226,6 +226,13 @@ def test_halfspace_projection_and_support():
     assert h.support([0.0, 0.0]) == 0.0
 
 
+def test_halfspace_rejects_non_finite_offset():
+    # a non-finite offset makes project and support(0) NaN
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Halfspace([1.0, 0.0], offset)
+
+
 def test_affine_projection_and_support():
     # line (1, 0) + t (1, 1)
     line = AffineSet([1.0, 0.0], orthonormal_range(np.array([[1.0], [1.0]])))

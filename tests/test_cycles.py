@@ -171,12 +171,12 @@ def test_cycle_keeps_the_closed_form_step():
     # sym(Q) = -I/2 on every mode of the normal circulant Q = T^{-1}, so
     # ||I + gamma Q||^2 = 1 - gamma + gamma^2 ||Q||^2 and the step lam / beta^2
     # = 2 sin^2(pi/N) is its exact minimiser, with rho = cos(pi/N).  N equal
-    # singletons have the gap vector 0, which the first step from 0 reaches.
+    # singletons have the gap vector 0, so the start 0 is already the answer.
     for n in range(2, 21):
         p = build_problem([Singleton([0.0, 0.0])] * n)
         oracle, q = touching_pair(p)
         res = touch(oracle, q, 0.5)
-        assert res.iterations == 1
+        assert res.iterations == 0
         assert res.gamma == pytest.approx(2.0 * math.sin(math.pi / n) ** 2, abs=1e-12)
         assert res.rho == pytest.approx(math.cos(math.pi / n), abs=1e-12)
         assert verify_identities(p, CycleSolution(e=res.e, d=res.d)).passed

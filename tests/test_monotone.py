@@ -169,6 +169,9 @@ def test_modulus_from_lambda_gate_failure():
         modulus_from_lambda(-np.eye(2), 2.0)  # needs <y,Qy> <= -2||y||^2
     with pytest.raises(ValueError):
         modulus_from_lambda(-np.eye(2), 0.0)
+    # lam below the gate's slack passes no Q whose top eigenvalue is >= 0
+    with pytest.raises(PreconditionError, match="eigenvalue 0.000000e\\+00"):
+        modulus_from_lambda([[0.0]], 1e-13)
 
 
 def test_modulus_certifies_unmonotonicity():

@@ -129,15 +129,15 @@ def test_touch_iteration_cap():
 
 def test_touch_refuses_a_q_no_step_contracts():
     # lam = 1e-9 against ||Q|| = 1: the smallest rho^2 = 1 - 1e-18 rounds to
-    # 1, so no step certifies anything; on Q = 0 the slack of the gate passes
-    # lam = 1e-13, but -max_sym_eigenvalue(Q) = 0 and rho >= 1 at every step
+    # 1, so no step certifies anything; Q = 0 is within the gate's slack of
+    # lam = 1e-13, but its top symmetric eigenvalue 0 is not negative, so
+    # the gate itself refuses it
     oracle = SubdifferentialOracle(Indicator(Box([0.0, 0.0], [1.0, 1.0])))
-    cases = ((oracle, [[-1e-9, 1.0], [-1.0, -1e-9]], 1e-9, r"1\.0+e\+00"),
-             (ShiftedAbsOracle(), [[0.0]], 1e-13, "inf"))
-    for oracle, q, lam, rho in cases:
-        with pytest.raises(ValueError, match=r"rho = \|\|I \+ gamma Q\|\| is " + rho) as info:
-            touch(oracle, q, lam)
-        assert "interval" not in str(info.value)
+    with pytest.raises(ValueError, match=r"rho = \|\|I \+ gamma Q\|\| is 1\.0+e\+00") as info:
+        touch(oracle, [[-1e-9, 1.0], [-1.0, -1e-9]], 1e-9)
+    assert "interval" not in str(info.value)
+    with pytest.raises(PreconditionError, match="eigenvalue 0.000000e\\+00"):
+        touch(ShiftedAbsOracle(), [[0.0]], 1e-13)
 
 
 def test_touch_takes_no_step_option():
@@ -176,9 +176,9 @@ def test_touch_error_bound_covers_true_error():
 
 
 def test_touch_stops_within_its_error_bound():
-    # touch stops on rho step / (1 - rho) <= tol max(1, ||y||), which bounds
-    # ||F(d) - d|| / (1 - rho) for an exact resolvent: the certified bound at
-    # the stop must meet tol itself, also where rho is close to 1
+    # touch stops on the bound ||F(y) - y|| / (1 - rho) <= tol max(1, ||y||)
+    # it returns: the certified bound at the stop must meet tol itself, also
+    # where rho is close to 1
     rng = np.random.default_rng(7)
     instances = [random_touch_instance(rng) for _ in range(100)]
     rng = np.random.default_rng(31)
@@ -230,17 +230,18 @@ def test_touch_contraction_bound_linear_instances():
         # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2
         gamma0 = 0.5 / beta**2
         bound0 = math.sqrt(1.0 - 2.0 * gamma0 * 0.5 + gamma0**2 * beta**2)
-        # touch's step against its factor ||I + gamma Q||, then F iterated
-        # at the step lam / beta^2 against the bound, which its factor
-        # never exceeds
+        # F iterated at touch's step against its factor ||I + gamma Q||, then
+        # at the step lam / beta^2 against the bound, which its factor never
+        # exceeds
         auto = touch(oracle, q, 0.5, start=start)
         rho0 = float(np.linalg.norm(np.eye(dim) + gamma0 * q, 2))
         assert auto.rho <= rho0 + 1e-12
         assert rho0 <= bound0 + 1e-12
         rho = float(np.linalg.norm(np.eye(dim) + auto.gamma * q, 2))
         assert auto.rho == pytest.approx(rho, abs=1e-12)
+        touched = forward_backward_step_norms(oracle, q, auto.gamma, start, auto.rho)
         plain = forward_backward_step_norms(oracle, q, gamma0, start, rho0)
-        for steps, bound in ((auto.step_norms, auto.rho), (plain, bound0)):
+        for steps, bound in ((touched, auto.rho), (plain, bound0)):
             for a, b in zip(steps, steps[1:]):
                 if a > 1e-12 and b > 1e-12:
                     assert b / a <= bound + 0.05
@@ -263,23 +264,26 @@ def test_dot_form_norm_is_bitwise_linalg_norm(mantissas, exponent):
 
 
 def test_touch_step_norms_are_bitwise_linalg_norms():
-    # replaying touch's iterates in the np.linalg.norm form gives the same
-    # step norms and the same answer, bit for bit
+    # replaying touch's steps from 0 gives its answer bit for bit, and the
+    # np.linalg.norm form of ||F(d) - d|| its graph_residual
     oracle, q = _mixed_touch_problem(5, 4)
     res = touch(oracle, q, 0.5)
+    assert res.iterations > 1
+
+    def step(y):
+        return oracle.resolvent(res.gamma, y + res.gamma * (q @ y))
+
     y = np.zeros(oracle.dim)
-    for recorded in res.step_norms:
-        y_next = oracle.resolvent(res.gamma, y + res.gamma * (q @ y))
-        assert recorded.hex() == float(np.linalg.norm(y_next - y)).hex()
-        y = y_next
+    for _ in range(res.iterations):
+        y = step(y)
     assert res.d.tobytes() == y.tobytes()
+    assert res.graph_residual.hex() == float(np.linalg.norm(step(y) - y)).hex()
 
 
 def test_touch_calls_no_norm_or_clip_per_block(monkeypatch):
     # Per-block kernels and touch's loop take norms and clamps without
-    # numpy's wrappers: a whole solve calls np.linalg.norm once (the final
-    # inclusion residual) and np.clip never, whatever the number of parts
-    # and iterations.
+    # numpy's wrappers: a whole solve calls neither np.linalg.norm nor
+    # np.clip, whatever the number of parts and iterations.
     counts = {"norm": 0, "clip": 0}
 
     def counted(name, fn):
@@ -295,7 +299,7 @@ def test_touch_calls_no_norm_or_clip_per_block(monkeypatch):
     for oracle, q in problems:
         counts.update(norm=0, clip=0)
         iterations.add(touch(oracle, q, 0.5).iterations)
-        assert counts == {"norm": 1, "clip": 0}
+        assert counts == {"norm": 0, "clip": 0}
     assert len(iterations) == 2
 
 
@@ -380,3 +384,30 @@ def test_verify_touch_rejects_mismatched_dimensions():
     res = touch(oracle, np.array([[-1.0]]), 0.5)
     with pytest.raises(ValueError):
         verify_touch(oracle, -np.eye(2), res)
+
+
+def test_touch_bound_meets_tol_with_an_inexact_resolvent():
+    # an exact box projection plus 1e-8 (-1)^k e_1 on the k-th call, at
+    # Q = -I where rho = 0: every iterate after the first measures a bound
+    # of 2e-8, far above a tol of 1e-12, so touch must raise at the cap
+    # rather than return a bound outside tol
+    class NoisyBoxOracle(ResolventOracle):
+        dim = 2
+
+        def __init__(self):
+            self.box = Box([2.0, 2.0], [3.0, 3.0])
+            self.calls = 0
+
+        def resolvent(self, lam, x):
+            self.calls += 1
+            noise = 1e-8 * (-1.0) ** self.calls
+            return self.box.project(x) + np.array([noise, 0.0])
+
+    tol = 1e-12
+    try:
+        res = touch(NoisyBoxOracle(), -np.eye(2), 0.5, tol=tol, max_iter=50)
+    except ConvergenceError as err:
+        assert err.iterations == 50
+        assert math.isfinite(err.residual)
+    else:
+        assert res.error_bound <= tol * max(1.0, float(np.linalg.norm(res.d)))
