@@ -124,11 +124,20 @@ def _all_numbers(values):
     return set(map(type, values)) <= _NUMBER_TYPES
 
 
+def _floats(values, message):
+    """float() of JSON numbers; a JSON integer beyond the float range
+    raises ParseError(message) here rather than OverflowError."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ParseError(message) from None
+
+
 def _tolerance(value, where):
     """The tolerance rule for the problem file and --tol alike."""
-    _require(_is_number(value) and 0 < value < math.inf,
-             f"{where} must be a positive finite number")
-    return float(value)
+    message = f"{where} must be a positive finite number"
+    _require(_is_number(value) and 0 < value < math.inf, message)
+    return _floats([value], message)[0]
 
 
 def _max_iterations(value, where):
@@ -149,15 +158,16 @@ def _vector_field(entry, key, dim, where):
         len(value) == dim,
         f"{where}.{key} has length {len(value)}, expected {dim}",
     )
-    return [float(v) for v in value]
+    return _floats(value, f"{where}.{key} has an entry beyond the float range")
 
 
 def _number_field(entry, key, where):
     _require(key in entry, f"{where}.{key} is missing")
     value = entry[key]
     _require(_is_number(value), f"{where}.{key} must be a number")
-    _require(-math.inf < value < math.inf, f"{where}.{key} must be finite")
-    return float(value)
+    message = f"{where}.{key} must be finite"
+    _require(-math.inf < value < math.inf, message)
+    return _floats([value], message)[0]
 
 
 def _build_set(entry, dim, where):

@@ -19,7 +19,7 @@ kernels on what they validated: ``SeparableSum`` calls each part's
 A new set or function implements the kernel, not the public method.
 
 Kernels on small blocks avoid numpy's Python-level wrappers: the ball's
-projection takes its norm as ``math.sqrt(gap @ gap)`` and the box clamps
+projection takes its norm as ``math.sqrt(gap.dot(gap))`` and the box clamps
 with ``np.minimum`` / ``np.maximum``.  On validated input both are bit for
 bit ``np.linalg.norm`` (which is the square root of the same dot product
 for a 1-d float64 vector) and ``np.clip``.
@@ -89,7 +89,7 @@ class Ball(ConvexSet):
 
     def _project(self, v):
         gap = v - self.center
-        dist = math.sqrt(gap @ gap)
+        dist = math.sqrt(gap.dot(gap))
         if dist <= self.radius:
             return v
         return self.center + (self.radius / dist) * gap

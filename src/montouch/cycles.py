@@ -12,7 +12,8 @@ unique e in ran S with e in dg(S e) for g = (summed support functions) +
 (indicator of ran S); the generalized gap vector is d = S e.  When the sets
 admit a classical projection cycle x, S x = S e ties the two notions
 together.  With Q = T^{-1} the cycle is the touching point d = S e, e = Q d
-of that subdifferential and Q (``touching_pair``).  Q is a normal circulant
+of that subdifferential and Q (``touching_pair``); ``build_problem`` stores
+Q directly, as the reciprocal of T's spectrum.  Q is a normal circulant
 with sym(Q) = -I/2 and ||Q|| = 1/(2 sin(pi/N)), so its step norm is
 ||I + gamma Q||^2 = 1 - gamma + gamma^2 ||Q||^2, smallest at the step
 2 sin^2(pi/N), where rho = cos(pi/N).  ``verify_identities`` certifies any e
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexSet, Indicator, SeparableSum, Support
+from .convex import ConvexSet, SeparableSum, Support
 from .errors import DegenerateProblemError
-from .hilbert import BlockCirculant, as_vector, invert, project_onto
+from .hilbert import BlockCirculant, as_vector, project_onto
 from .monotone import SubspaceRestrictedOracle
 from .touching import VerificationReport, _certificate, _pass_threshold, touch
 
@@ -50,38 +51,33 @@ class ZeroSumSubspace:
 
 @dataclass
 class CycleProblem:
-    """A family of convex sets with the product-space shift machinery.
+    """A family of convex sets with the product-space operators the solve
+    reads.
 
-    ``shift`` is R and ``displacement`` is S = R - I on R^{Nm}, both
+    ``displacement`` is S = R - I on R^{Nm} and ``q`` is Q = T^{-1}, both
     ``BlockCirculant``; ``range_space`` is ran S as a ``ZeroSumSubspace``;
-    ``displacement_on_range`` is the invertible circulant T = S - 2 P_D,
-    which equals S on ran S.  ``indicator_sum`` / ``support_sum`` are the
-    blockwise indicator and support functions of the family.
+    ``support_sum`` is the blockwise support function of the family, whose
+    ``conjugate()`` is the blockwise indicator.
     """
 
     sets: tuple
     base_dim: int
-    n_sets: int
-    shift: BlockCirculant
     displacement: BlockCirculant
     range_space: ZeroSumSubspace
-    displacement_on_range: BlockCirculant
-    indicator_sum: SeparableSum
+    q: BlockCirculant
     support_sum: SeparableSum
 
 
 @dataclass
 class CycleSolution:
     """Generalized cycle ``e``, gap vector ``d`` = S e (both in R^{Nm}),
-    and an optional classical projection cycle.  ``error_bound`` is the
-    solve's certified bound on ||d - d*|| (``TouchResult.error_bound``);
-    ``verify_identities`` derives its own and never reads it."""
+    and an optional classical projection cycle; ``verify_identities``
+    certifies it."""
 
     e: np.ndarray
     d: np.ndarray
     classical_cycle: np.ndarray = None
     iterations: int = 0
-    error_bound: float = None
 
 
 def build_problem(sets):
@@ -112,12 +108,9 @@ def build_problem(sets):
     return CycleProblem(
         sets=sets,
         base_dim=m,
-        n_sets=n,
-        shift=BlockCirculant(shift, m),
         displacement=BlockCirculant(shift - 1.0, m),
         range_space=ZeroSumSubspace(n, m),
-        displacement_on_range=BlockCirculant(on_range, m),
-        indicator_sum=SeparableSum(tuple(Indicator(c) for c in sets)),
+        q=BlockCirculant(1.0 / on_range, m),
         support_sum=SeparableSum(tuple(Support(c) for c in sets)),
     )
 
@@ -130,8 +123,7 @@ def touching_pair(problem):
     it and the CLI's ``touch`` and ``fixed-point`` run it, so all of them
     step and certify with the same Q.
     """
-    oracle = SubspaceRestrictedOracle(problem.support_sum, problem.range_space)
-    return oracle, invert(problem.displacement_on_range)
+    return SubspaceRestrictedOracle(problem.support_sum, problem.range_space), problem.q
 
 
 def generalized_cycle(problem, tol=1e-10, max_iter=100000):
@@ -139,17 +131,12 @@ def generalized_cycle(problem, tol=1e-10, max_iter=100000):
 
     Solves the fixed-point problem e in (subdifferential of the support
     sum restricted to ran S)(T e) as the touching problem of
-    ``touching_pair``, whose touching point is d = S e with e = Q d, and
-    carries the solve's certified ``error_bound`` on d;
+    ``touching_pair``, whose touching point is d = S e with e = Q d;
     ``verify_identities`` checks the result.
     """
-    oracle, q = touching_pair(problem)
-    result = touch(oracle, q, CYCLE_LAM, tol=tol, max_iter=max_iter)
+    result = touch(*touching_pair(problem), CYCLE_LAM, tol=tol, max_iter=max_iter)
     e = result.e
-    return CycleSolution(
-        e=e, d=problem.displacement @ e, iterations=result.iterations,
-        error_bound=result.error_bound,
-    )
+    return CycleSolution(e=e, d=problem.displacement @ e, iterations=result.iterations)
 
 
 def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
@@ -188,7 +175,7 @@ def verify_identities(problem, solution):
     The generalized cycle is characterised by the inclusion e in dg(S e)
     for g = (summed support functions) + (indicator of ran S), the touching
     inclusion of the module docstring.  One resolvent call certifies it, with
-    lam and beta derived from the problem; ``solution.error_bound`` is unread.
+    lam and beta derived from the problem.
 
     Residuals (``classical_shift_gap`` only when a classical cycle is attached):
 

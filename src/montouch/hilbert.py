@@ -137,7 +137,7 @@ def max_sym_eigenvalue(a):
 
 
 def invert(a):
-    """Inverse of a square operator, guarded by a singular-value ratio gate.
+    """Inverse of a square matrix, guarded by a singular-value ratio gate.
 
     Raises SingularOperatorError when sigma_min / sigma_max <= COND_TOL,
     reporting the offending ratio.
@@ -145,12 +145,11 @@ def invert(a):
     m = as_operator(a, square=True)
     if m.shape[0] == 0:
         return m.copy()
-    circulant = isinstance(m, BlockCirculant)
-    s = np.abs(m.spectrum) if circulant else np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(m, compute_uv=False)
     ratio = float(s.min() / s.max()) if s.max() > 0.0 else 0.0
     if ratio <= COND_TOL:
         raise SingularOperatorError(
             f"operator is numerically singular: sigma_min/sigma_max = {ratio:.3e}"
             f" <= {COND_TOL:.1e}"
         )
-    return BlockCirculant(1.0 / m.spectrum, m.block_dim) if circulant else np.linalg.inv(m)
+    return np.linalg.inv(m)

@@ -184,7 +184,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     for it in range(int(max_iter) + 1):
         y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
         diff = y_next - y
-        residual = math.sqrt(diff @ diff)
+        residual = math.sqrt(diff.dot(diff))
         if not math.isfinite(residual):
             raise ConvergenceError(
                 f"touch produced a non-finite iterate at iteration {it + 1} "
@@ -193,7 +193,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
                 iterations=it + 1,
             )
         bound = residual / (1.0 - rho)
-        if bound <= tol * max(1.0, math.sqrt(y @ y)):
+        if bound <= tol * max(1.0, math.sqrt(y.dot(y))):
             return TouchResult(
                 d=y, e=q @ y, graph_residual=residual, error_bound=bound,
                 iterations=it, gamma=gamma, rho=rho,

@@ -147,6 +147,25 @@ def test_parse_problem_solver_defaults(tmp_path):
       "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
                {"type": "halfspace", "normal": [1.0, 0.0], "offset": -math.inf}]},
      "sets[1].offset must be finite"),
+    # json.loads keeps a 401-digit integer exact, and float() of it raises
+    # OverflowError, which the CLI would print as a traceback
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 10 ** 400},
+               {"type": "ball", "center": [5.0, 0.0], "radius": 1.0}]},
+     "sets[0].radius must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "halfspace", "normal": [1.0, 0.0], "offset": -10 ** 400}]},
+     "sets[1].offset must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "ball", "center": [5.0, 10 ** 400], "radius": 1.0}]},
+     "sets[1].center has an entry beyond the float range"),
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"tolerance": 10 ** 400}},
+     "solver.tolerance must be a positive finite number"),
 ])
 def test_parse_problem_names_the_bad_field(tmp_path, doc, fragment):
     path = write_json(tmp_path, "bad.json", doc)
@@ -503,3 +522,20 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "touch" and doc["pass"] is True
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency: importing the package and its CLI
+    # in a fresh interpreter loads no other third-party module (no scipy),
+    # so start-up pays for nothing else
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import montouch, montouch.cli\n"
+        "print('\\n'.join(sorted({name.partition('.')[0]\n"
+        "                         for name in set(sys.modules) - before})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"montouch", "numpy"}

@@ -65,9 +65,10 @@ def test_build_problem_two_points_on_line():
     p = build_problem([Singleton([0.0]), Singleton([5.0])])
     assert np.allclose(dense(p.displacement), [[-1.0, 1.0], [1.0, -1.0]])
     assert p.range_space.rank == 1
-    # S is -2 on its range span{(1, -1)}; T is -2 on the constants as well
-    assert p.displacement_on_range.shape == (2, 2)
-    assert np.allclose(dense(p.displacement_on_range), -2.0 * np.eye(2), atol=1e-12)
+    # S is -2 on its range span{(1, -1)}; T is -2 on the constants as well,
+    # so Q = T^{-1} = -I/2
+    assert p.q.shape == (2, 2)
+    assert np.allclose(dense(p.q), -0.5 * np.eye(2), atol=1e-12)
 
 
 def test_build_problem_rank_and_isometry():
@@ -75,7 +76,7 @@ def test_build_problem_rank_and_isometry():
         sets = [Ball(np.zeros(m), 1.0) for _ in range(n)]
         p = build_problem(sets)
         assert p.range_space.rank == (n - 1) * m
-        shift = dense(p.shift)
+        shift = dense(p.displacement) + np.eye(n * m)
         assert np.abs(shift - cyclic_shift(n, m)).max() <= 1e-12
         assert isometry_defect(shift) <= 1e-12
         # constant block vectors span the kernel of the displacement
@@ -91,29 +92,29 @@ def test_product_space_operators_match_dense_references(n, m):
     s = r - np.eye(n * m)
     block_mean = np.kron(np.full((n, n), 1.0 / n), np.eye(m))
     basis = orthonormal_range(s).basis
-    t = p.displacement_on_range
-    t_ref = s - 2.0 * block_mean
-    q = invert(t)
+    # T = S - 2 (block mean) is S on ran S and -2 on the block-constant vectors
+    t = s - 2.0 * block_mean
     pairs = [
-        (p.shift, r),
         (p.displacement, s),
-        (t, t_ref),
-        (q, np.linalg.pinv(s) - 0.5 * block_mean),
+        (p.q, np.linalg.inv(t)),
+        (p.q, np.linalg.pinv(s) - 0.5 * block_mean),
     ]
     for op, reference in pairs:
         assert np.abs(dense(op) - reference).max() <= 1e-12
         assert operator_norm(op) == pytest.approx(operator_norm(reference), abs=1e-12)
         assert max_sym_eigenvalue(op) == pytest.approx(
             max_sym_eigenvalue(reference), abs=1e-12)
+    # R = S + I is the block cyclic shift
+    assert np.abs(dense(p.displacement) + np.eye(n * m) - r).max() <= 1e-12
     # fixed_point's hypothesis <x, Tx> + lam ||Tx||^2 <= 0 at lam = 1/2 holds
-    # with equality: T is S on ran S and -2 on the block-constant vectors
-    t_dense = dense(t)
-    form = 0.5 * (t_dense + t_dense.T) + 0.5 * (t_dense.T @ t_dense)
+    # with equality
+    form = 0.5 * (t + t.T) + 0.5 * (t.T @ t)
     assert np.abs(form).max() <= 1e-12
-    assert np.abs(dense(q) - invert(t_ref)).max() <= 1e-12
-    for singular in (p.displacement, s):
-        with pytest.raises(SingularOperatorError):
-            invert(singular)
+    with pytest.raises(SingularOperatorError):
+        invert(s)
+    # invert takes dense matrices only; a circulant is refused
+    with pytest.raises(ValueError):
+        invert(p.displacement)
     projection = np.column_stack(
         [p.range_space.project(col) for col in np.eye(n * m)])
     assert np.abs(projection - basis @ basis.T).max() <= 1e-12
@@ -164,7 +165,7 @@ def test_two_ball_cycle_is_one_exact_step():
     assert sol.iterations == 1
     assert np.array_equal(sol.d, d_expected)
     assert np.array_equal(sol.e, e_expected)
-    assert sol.error_bound == 0.0
+    assert verify_identities(p, sol).residuals["error_bound"] == 0.0
 
 
 def test_cycle_keeps_the_closed_form_step():
@@ -254,7 +255,7 @@ def test_relabelled_family_shifts_the_gap_vector():
     rotated = build_problem(sets[1:] + sets[:1])
     sol_rot = generalized_cycle(rotated)
     # relabelling C_i -> C_{i+1} shifts blocks one step backwards
-    back = dense(p.shift).T
+    back = (dense(p.displacement) + np.eye(sol.d.size)).T
     assert np.linalg.norm(sol_rot.d - back @ sol.d) <= 1e-6
     assert np.linalg.norm(sol_rot.e - back @ sol.e) <= 1e-6
 
@@ -272,7 +273,7 @@ def test_two_ball_identities_with_exact_arithmetic():
     assert p.sets[1].support(sx[2:]) == pytest.approx(-12.0, abs=1e-12)
     conj = p.support_sum.value(sx)
     assert conj == pytest.approx(-9.0, abs=1e-12)
-    energy = conj + 0.5 * float(sx @ sx) + p.indicator_sum.value(x)
+    energy = conj + 0.5 * float(sx @ sx) + p.support_sum.conjugate().value(x)
     assert abs(energy) <= 1e-9
 
 
@@ -286,8 +287,8 @@ def test_verify_identities_two_ball_report():
     assert set(report.residuals) == {"error_bound", "range_membership",
                                      "classical_shift_gap"}
     assert report.residuals["error_bound"] <= report.thresholds["error_bound"]
-    # the derived bound agrees with the solve's: one exact step, rho = 0
-    assert report.residuals["error_bound"] == sol.error_bound == 0.0
+    # one exact step, rho = 0
+    assert report.residuals["error_bound"] == 0.0
     assert report.thresholds["error_bound"] == 1e-6 * np.linalg.norm(sol.d)
 
 
@@ -312,15 +313,6 @@ def test_verify_identities_flags_perturbed_solution():
     assert not report.passed
     assert [k for k in report.residuals
             if report.residuals[k] > report.thresholds[k]] == ["error_bound"]
-    # a loose bound carried by a correct solution is not read: it passes
-    sol.e = e_good
-    sol.error_bound = 1e-3
-    report = verify_identities(p, sol)
-    assert report.passed
-    assert report.residuals["error_bound"] == 0.0
-    # a caller-built solution carries no bound and gets a derived one
-    sol.error_bound = None
-    assert verify_identities(p, sol).residuals == report.residuals
 
 
 def test_energy_identity_separates_cycles_from_noncycles():
@@ -331,13 +323,14 @@ def test_energy_identity_separates_cycles_from_noncycles():
 
     common = np.array([0.5, 0.0])
     x_cycle = np.concatenate([common, common])
+    indicator_sum = p.support_sum.conjugate()
     energy = p.support_sum.value(p.displacement @ x_cycle) \
         + 0.5 * float(np.linalg.norm(p.displacement @ x_cycle) ** 2) \
-        + p.indicator_sum.value(x_cycle)
+        + indicator_sum.value(x_cycle)
     assert abs(energy) <= 1e-8
 
     x_bad = np.concatenate([np.array([0.0, 1.0]), np.array([1.0, -1.0])])
-    assert p.indicator_sum.value(x_bad) == 0.0  # feasible blocks
+    assert indicator_sum.value(x_bad) == 0.0  # feasible blocks
     sx = p.displacement @ x_bad
     assert np.linalg.norm(sx - p.displacement @ sol.e) > 1e-3
     energy_bad = p.support_sum.value(sx) + 0.5 * float(sx @ sx)
@@ -373,7 +366,7 @@ def five_ball_problem():
 
 def in_range_direction(p, seed):
     delta = project_onto(p.range_space, np.random.default_rng(seed).normal(
-        size=p.n_sets * p.base_dim))
+        size=p.range_space.ambient_dim))
     return delta / np.linalg.norm(delta)
 
 
@@ -429,12 +422,5 @@ def test_verify_identities_certifies_caller_built_solutions():
     assert built.passed
     assert built.residuals["error_bound"] <= built.thresholds["error_bound"]
     assert built.residuals == verify_identities(p, sol).residuals
-    # a false carried bound changes nothing, in either direction
     e = sol.e + 1e-4 * in_range_direction(p, 1)
-    honest = verify_identities(p, CycleSolution(e=e, d=p.displacement @ e))
-    claimed = verify_identities(
-        p, CycleSolution(e=e, d=p.displacement @ e, error_bound=0.0))
-    assert not honest.passed and not claimed.passed
-    assert claimed.residuals == honest.residuals
-    loose = verify_identities(p, CycleSolution(e=sol.e, d=sol.d, error_bound=1e-3))
-    assert loose.passed and loose.residuals == built.residuals
+    assert not verify_identities(p, CycleSolution(e=e, d=p.displacement @ e)).passed

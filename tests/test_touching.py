@@ -257,10 +257,13 @@ def _mixed_touch_problem(seed, n_parts):
 @given(mantissas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
        exponent=st.integers(-150, 150))
 def test_dot_form_norm_is_bitwise_linalg_norm(mantissas, exponent):
-    # touch and the ball kernel take norms as sqrt(v @ v), which numpy's
-    # norm of a 1-d float64 vector also is; zeros included
+    # touch and the ball kernel take norms as sqrt(v.dot(v)), which numpy's
+    # norm of a 1-d float64 vector also is, and which the v @ v form matches;
+    # zeros included
     for v in (np.array(mantissas) * 10.0 ** exponent, np.zeros(len(mantissas))):
-        assert math.sqrt(v @ v).hex() == float(np.linalg.norm(v)).hex()
+        norm = float(np.linalg.norm(v)).hex()
+        assert math.sqrt(v.dot(v)).hex() == norm
+        assert math.sqrt(v @ v).hex() == norm
 
 
 def test_touch_step_norms_are_bitwise_linalg_norms():
