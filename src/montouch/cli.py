@@ -1,15 +1,15 @@
-"""Command-line front end: JSON problem files in, a JSON report out.
+"""Command-line front end: one JSON input file in, one JSON report on stdout.
 
 Commands
 --------
 check-unmonotone  --matrix FILE --mu X     strong anti-monotonicity check
-touch             --problem FILE             touching point of the family
-fixed-point       --problem FILE             same point via M o T
-cycle             --problem FILE             generalized cycle / gap vector
-verify            --problem FILE             the same plus the classical sweep
+touch             --problem FILE           touching point of the family
+fixed-point       --problem FILE           the same solve as touch
+cycle             --problem FILE           generalized cycle / gap vector
+verify            --problem FILE           the same plus the classical sweep
 
-The four solve commands also take --tol and --max-iter, checked by the same
-rule as the problem file's solver block.
+A solve reads its tolerance and iteration cap from the problem file's
+solver block and nowhere else, and the report goes to stdout only.
 
 Exit status: 0 the run passed its checks, 1 input or usage error, 2 a solver
 hit its iteration cap, 3 the run completed but a check failed.  Reports are
@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +49,6 @@ class SolverSettings:
 
 @dataclass
 class ProblemSpec:
-    base_dimension: int
     sets: list
     solver: SolverSettings = field(default_factory=SolverSettings)
 
@@ -133,21 +131,21 @@ def _floats(values, message):
         raise ParseError(message) from None
 
 
-def _tolerance(value, where):
-    """The tolerance rule for the problem file and --tol alike."""
-    message = f"{where} must be a positive finite number"
+def _tolerance(value):
+    message = "solver.tolerance must be a positive finite number"
     _require(_is_number(value) and 0 < value < math.inf, message)
     return _floats([value], message)[0]
 
 
-def _max_iterations(value, where):
-    """The iteration-cap rule for the problem file and --max-iter alike."""
+def _max_iterations(value):
     _require(type(value) is int and value >= 1,
-             f"{where} must be a positive integer")
+             "solver.max_iterations must be a positive integer")
     return value
 
 
-def _vector_field(entry, key, dim, where):
+def _vector_field(entry, key, dim, where, unbounded=None):
+    """A list of ``dim`` finite numbers; ``unbounded`` (-inf for a box's
+    lower bound, +inf for its upper) is the one infinity a field may hold."""
     _require(key in entry, f"{where}.{key} is missing")
     value = entry[key]
     _require(
@@ -158,7 +156,12 @@ def _vector_field(entry, key, dim, where):
         len(value) == dim,
         f"{where}.{key} has length {len(value)}, expected {dim}",
     )
-    return _floats(value, f"{where}.{key} has an entry beyond the float range")
+    values = _floats(value, f"{where}.{key} has an entry beyond the float range")
+    message = f"{where}.{key} entries must be finite"
+    if unbounded is not None:
+        message += f" or {json.dumps(unbounded)}"
+    _require(all(math.isfinite(v) or v == unbounded for v in values), message)
+    return values
 
 
 def _number_field(entry, key, where):
@@ -178,8 +181,8 @@ def _build_set(entry, dim, where):
         return Ball(_vector_field(entry, "center", dim, where),
                     _number_field(entry, "radius", where))
     if kind == "box":
-        return Box(_vector_field(entry, "lower", dim, where),
-                   _vector_field(entry, "upper", dim, where))
+        return Box(_vector_field(entry, "lower", dim, where, -math.inf),
+                   _vector_field(entry, "upper", dim, where, math.inf))
     if kind == "halfspace":
         return Halfspace(_vector_field(entry, "normal", dim, where),
                          _number_field(entry, "offset", where))
@@ -190,7 +193,7 @@ def _build_set(entry, dim, where):
         spanning = entry.get("spanning", [])
         _require(isinstance(spanning, list), f"{where}.spanning must be a list")
         vectors = [
-            _vector_field({"v": v}, "v", dim, f"{where}.spanning[{i}]")
+            _vector_field({f"spanning[{i}]": v}, f"spanning[{i}]", dim, where)
             for i, v in enumerate(spanning)
         ]
         matrix = np.array(vectors, dtype=float).T if vectors else np.zeros((dim, 0))
@@ -233,12 +236,10 @@ def parse_problem(path):
     solver.update(raw_solver)
 
     spec = ProblemSpec(
-        base_dimension=dim,
         sets=sets,
         solver=SolverSettings(
-            tolerance=_tolerance(solver["tolerance"], "solver.tolerance"),
-            max_iterations=_max_iterations(solver["max_iterations"],
-                                           "solver.max_iterations"),
+            tolerance=_tolerance(solver["tolerance"]),
+            max_iterations=_max_iterations(solver["max_iterations"]),
         ),
     )
     return spec, digest
@@ -265,93 +266,57 @@ def parse_matrix(path):
         raise ParseError(f"matrix: {err}") from err
 
 
-def execute(command, args):
-    """Run one command and assemble its Report."""
-    t0 = time.perf_counter()
+def _check_unmonotone(matrix, mu):
+    if mu is None or mu <= 0:
+        raise ParseError("--mu must be a positive number")
+    holds, cert = is_mu_unmonotone(matrix, mu)
+    outputs = {
+        "unmonotone": bool(holds),
+        "mu": cert.mu,
+        "max_eig": cert.max_eig,
+        "operator_norm": cert.operator_norm,
+    }
+    return outputs, {"max_eig": cert.max_eig}, bool(holds), 0
 
-    if command == "check-unmonotone":
-        matrix, digest = parse_matrix(args.matrix)
-        if args.mu is None or args.mu <= 0:
-            raise ParseError("--mu must be a positive number")
-        holds, cert = is_mu_unmonotone(matrix, args.mu)
-        outputs = {
-            "unmonotone": bool(holds),
-            "mu": cert.mu,
-            "max_eig": cert.max_eig,
-            "operator_norm": cert.operator_norm,
-        }
-        return Report(
-            command=command,
-            inputs_digest=digest,
-            outputs=outputs,
-            residuals={"max_eig": cert.max_eig},
-            passed=bool(holds),
-            iterations=0,
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        )
 
-    spec, digest = parse_problem(args.problem)
-    settings = spec.solver
-    if args.tol is not None:
-        settings.tolerance = _tolerance(args.tol, "--tol")
-    if args.max_iter is not None:
-        settings.max_iterations = _max_iterations(args.max_iter, "--max-iter")
-    problem = build_problem(spec.sets)
-
+def _solve(command, problem, solver):
+    """Outputs, residuals, pass and iterations of one solve command."""
+    limits = {"tol": solver.tolerance, "max_iter": solver.max_iterations}
     if command in ("touch", "fixed-point"):
         # fixed-point is touch on Q = T^{-1}: the same solve as the cycle's
         oracle, q = touching_pair(problem)
-        res = touch(oracle, q, CYCLE_LAM,
-                    tol=settings.tolerance, max_iter=settings.max_iterations)
+        res = touch(oracle, q, CYCLE_LAM, **limits)
         outputs = {"d": res.d, "e": res.e, "gamma": res.gamma, "rho": res.rho}
-        return Report(
-            command=command,
-            inputs_digest=digest,
-            outputs=outputs,
-            residuals={
-                "graph_residual": res.graph_residual,
-                "error_bound": res.error_bound,
-            },
-            passed=res.error_bound <= _pass_threshold(res.d),
-            iterations=res.iterations,
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        )
+        residuals = {"graph_residual": res.graph_residual,
+                     "error_bound": res.error_bound}
+        return (outputs, residuals, res.error_bound <= _pass_threshold(res.d),
+                res.iterations)
+    if command not in ("cycle", "verify"):
+        raise ParseError(f"unknown command {command!r}")
+    solution = generalized_cycle(problem, **limits)
+    if command == "verify":
+        solution.classical_cycle = classical_cycle(problem, **limits)
+    report = verify_identities(problem, solution)
+    outputs = {"d": solution.d, "e": solution.e, "thresholds": report.thresholds}
+    if command == "verify":
+        outputs["classical_cycle"] = solution.classical_cycle
+    return outputs, report.residuals, report.passed, solution.iterations
 
-    if command in ("cycle", "verify"):
-        solution = generalized_cycle(
-            problem, tol=settings.tolerance, max_iter=settings.max_iterations
-        )
-        if command == "verify":
-            solution.classical_cycle = classical_cycle(
-                problem, tol=settings.tolerance, max_iter=settings.max_iterations
-            )
-        report = verify_identities(problem, solution)
-        outputs = {"d": solution.d, "e": solution.e, "thresholds": report.thresholds}
-        if command == "verify":
-            outputs["classical_cycle"] = solution.classical_cycle
-        return Report(
-            command=command,
-            inputs_digest=digest,
-            outputs=outputs,
-            residuals=report.residuals,
-            passed=report.passed,
-            iterations=solution.iterations,
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        )
 
-    raise ParseError(f"unknown command {command!r}")
+def execute(command, args):
+    """Run one command and assemble its Report."""
+    t0 = time.perf_counter()
+    if command == "check-unmonotone":
+        matrix, digest = parse_matrix(args.matrix)
+        result = _check_unmonotone(matrix, args.mu)
+    else:
+        spec, digest = parse_problem(args.problem)
+        result = _solve(command, build_problem(spec.sets), spec.solver)
+    return Report(command, digest, *result,
+                  wall_time_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--out", default=None,
-                        help="also write the JSON report to this file")
-    solve = argparse.ArgumentParser(add_help=False, parents=[shared])
-    solve.add_argument("--tol", type=float, default=None,
-                       help="override solver tolerance")
-    solve.add_argument("--max-iter", type=int, default=None,
-                       help="override solver iteration cap")
-
     parser = argparse.ArgumentParser(
         prog="montouch",
         description="Touching points of monotone operator graphs and "
@@ -359,18 +324,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-unmonotone", parents=[shared],
+    p = sub.add_parser("check-unmonotone",
                        help="certify strong anti-monotonicity of a matrix")
     p.add_argument("--matrix", required=True, help="JSON file with a matrix key")
     p.add_argument("--mu", type=float, required=True, help="modulus to certify")
 
     for name, extra in (
         ("touch", "touching point of the family's product-space operators"),
-        ("fixed-point", "the same point computed as a fixed point"),
+        ("fixed-point", "the same solve as touch"),
         ("cycle", "generalized cycle and gap vector"),
         ("verify", "generalized cycle plus the classical projection sweep"),
     ):
-        p = sub.add_parser(name, parents=[solve], help=extra)
+        p = sub.add_parser(name, help=extra)
         p.add_argument("--problem", required=True, help="JSON problem file")
 
     return parser
@@ -407,14 +372,7 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    text = report.to_json()
-    if args.out:
-        try:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        except OSError as err:
-            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
-            return 1
-    _print(text)
+    _print(report.to_json())
     return 0 if report.passed else 3
 
 

@@ -100,7 +100,7 @@ class Ball(ConvexSet):
 
 @dataclass(frozen=True)
 class Box(ConvexSet):
-    """Axis-aligned box; individual bounds may be -inf or +inf."""
+    """Axis-aligned box; a lower bound may be -inf and an upper bound +inf."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -112,6 +112,9 @@ class Box(ConvexSet):
             raise ValueError("bounds must be 1-d arrays of equal length")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
             raise ValueError("bounds must not be NaN")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValueError("a lower bound of +inf or an upper bound of -inf "
+                             "leaves the box empty")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)

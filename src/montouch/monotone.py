@@ -18,13 +18,7 @@ import numpy as np
 
 from .convex import ProxFunction, _check_step
 from .errors import ConvergenceError, PreconditionError
-from .hilbert import (
-    as_operator,
-    as_vector,
-    max_sym_eigenvalue,
-    operator_norm,
-    project_onto,
-)
+from .hilbert import as_operator, as_vector, max_sym_eigenvalue, operator_norm
 
 # Gates that sit exactly at zero in exact arithmetic get this much slack.
 SPECTRAL_SLACK = 1e-12
@@ -197,7 +191,7 @@ def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER)
     for it in range(1, int(max_iter) + 1):
         y = fn.prox(lam, x + p)
         p = x + p - y
-        x_next = project_onto(subspace, y)
+        x_next = subspace.project(y)  # y is fn.prox's validated output
         residual = max(
             float(np.linalg.norm(x_next - x)),
             float(np.linalg.norm(y - x_next)),

@@ -397,7 +397,7 @@ def test_criterion_09_gate_sharpness(report):
            f"modulus_from_lambda(-I, 1) = {modulus}")
 
 
-def test_criterion_10_cli_contract(capsys, report):
+def test_criterion_10_cli_contract(capsys, tmp_path, report):
     problem = str(DATA / "two_ball.json")
 
     code_a = cli.main(["cycle", "--problem", problem])
@@ -416,8 +416,11 @@ def test_criterion_10_cli_contract(capsys, report):
     code_bad = cli.main(["cycle", "--problem", str(DATA / "malformed.json")])
     capsys.readouterr()
     # two_ball is solved exactly in one step (rho = 0); three balls take 29
-    code_cap = cli.main(["cycle", "--problem", str(DATA / "three_ball.json"),
-                         "--max-iter", "2"])
+    capped = json.loads((DATA / "three_ball.json").read_text())
+    capped["solver"] = {"max_iterations": 2}
+    capped_path = tmp_path / "three_ball_capped.json"
+    capped_path.write_text(json.dumps(capped), encoding="utf-8")
+    code_cap = cli.main(["cycle", "--problem", str(capped_path)])
     capsys.readouterr()
     code_fail = cli.main(["check-unmonotone",
                           "--matrix", str(DATA / "neg_identity.json"),

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,13 @@ from montouch.errors import ConvergenceError, ParseError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 TWO_BALL = str(DATA / "two_ball.json")
 TWO_SINGLETONS = str(DATA / "two_singletons.json")
 THREE_BALL = str(DATA / "three_ball.json")
 NEG_IDENTITY = str(DATA / "neg_identity.json")
+SOLVE_COMMANDS = ("touch", "fixed-point", "cycle", "verify")
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +49,13 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+def with_solver(tmp_path, problem, **solver):
+    """A copy of the problem file ``problem`` with this solver block."""
+    doc = json.loads(Path(problem).read_text(encoding="utf-8"))
+    doc["solver"] = solver
+    return write_json(tmp_path, "with_solver.json", doc)
+
+
 def strict_json(text):
     def reject(token):
         raise ValueError(f"{token} is not JSON")
@@ -57,8 +67,7 @@ def strict_json(text):
 
 def test_parse_problem_reads_sets_and_solver():
     spec, digest = cli.parse_problem(TWO_BALL)
-    assert spec.base_dimension == 2
-    assert len(spec.sets) == 2
+    assert [s.ambient_dim for s in spec.sets] == [2, 2]
     assert spec.solver.tolerance == 1e-10
     assert spec.solver.max_iterations == 100000
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
@@ -166,6 +175,59 @@ def test_parse_problem_solver_defaults(tmp_path):
                {"type": "singleton", "point": [1.0]}],
       "solver": {"tolerance": 10 ** 400}},
      "solver.tolerance must be a positive finite number"),
+    # unchecked, a negative or NaN tolerance ran on to the iteration cap
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"tolerance": -1}},
+     "solver.tolerance must be a positive finite number"),
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"tolerance": math.nan}},
+     "solver.tolerance must be a positive finite number"),
+    ({"base_dimension": 1,
+      "sets": [{"type": "singleton", "point": [0.0]},
+               {"type": "singleton", "point": [1.0]}],
+      "solver": {"max_iterations": 0}},
+     "solver.max_iterations must be a positive integer"),
+    # non-finite vector entries are named by their field, not left for the
+    # set constructor or the solve to trip over
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [math.inf, 0.0], "radius": 1.0},
+               {"type": "ball", "center": [5.0, 0.0], "radius": 1.0}]},
+     "sets[0].center entries must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "singleton", "point": [math.nan, 0.0]}]},
+     "sets[1].point entries must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "halfspace", "normal": [-math.inf, 0.0], "offset": 1.0}]},
+     "sets[1].normal entries must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "affine", "basepoint": [0.0, math.nan], "spanning": []}]},
+     "sets[1].basepoint entries must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "affine", "basepoint": [0.0, 0.0],
+                "spanning": [[1.0, 0.0], [1e999, 1.0]]}]},
+     "sets[1].spanning[1] entries must be finite"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "box", "lower": [math.nan, 0.0], "upper": [1.0, 1.0]}]},
+     "sets[1].lower entries must be finite or -Infinity"),
+    # a lower bound of +inf or an upper bound of -inf leaves the box empty
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "box", "lower": [math.inf, 0.0], "upper": [math.inf, 1.0]}]},
+     "sets[1].lower entries must be finite or -Infinity"),
+    ({"base_dimension": 2,
+      "sets": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"type": "box", "lower": [-math.inf, -math.inf],
+                "upper": [-math.inf, 1.0]}]},
+     "sets[1].upper entries must be finite or Infinity"),
 ])
 def test_parse_problem_names_the_bad_field(tmp_path, doc, fragment):
     path = write_json(tmp_path, "bad.json", doc)
@@ -310,6 +372,14 @@ def test_exit_1_on_usage_error(capsys):
     ("touch", "--problem", TWO_BALL, "--gamma", "auto"),
     ("fixed-point", "--problem", TWO_BALL, "--lambda", "0.5"),
     ("fixed-point", "--problem", TWO_BALL, "--gamma", "1.0"),
+    # a solve reads its solver settings from the problem file only, and
+    # the report goes to stdout only
+    *[(command, "--problem", TWO_BALL, flag, value)
+      for command in SOLVE_COMMANDS
+      for flag, value in (("--tol", "1e-3"), ("--max-iter", "5"),
+                          ("--out", os.devnull))],
+    ("check-unmonotone", "--matrix", NEG_IDENTITY, "--mu", "0.5",
+     "--out", os.devnull),
 ])
 def test_commands_reject_flags_they_do_not_read(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -317,18 +387,29 @@ def test_commands_reject_flags_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-def test_build_parser_flag_inventory():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions
+def command_flags():
+    """Each command's flags, without -h / --help."""
+    commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    flags = {name: {opt for action in sub._actions for opt in action.option_strings
-                    if opt not in ("-h", "--help")}
-             for name, sub in commands.items()}
-    solve = {"--out", "--tol", "--max-iter", "--problem"}
-    assert flags == {
-        "check-unmonotone": {"--out", "--matrix", "--mu"},
-        "touch": solve, "fixed-point": solve, "cycle": solve, "verify": solve,
+    return {name: {opt for action in sub._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, sub in commands.items()}
+
+
+def test_build_parser_flag_inventory():
+    assert command_flags() == {
+        "check-unmonotone": {"--matrix", "--mu"},
+        **{command: {"--problem"} for command in SOLVE_COMMANDS},
     }
+
+
+def test_readme_names_only_flags_the_parser_accepts():
+    # a flag removed from the parser must not live on in the docs
+    section = README.read_text(encoding="utf-8").split("## Command line")[1]
+    section = section.split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert {"--problem", "--matrix", "--mu"} <= named
+    assert named <= set().union(*command_flags().values())
 
 
 def test_exit_1_on_solver_gamma_in_problem_file(capsys, tmp_path):
@@ -339,18 +420,6 @@ def test_exit_1_on_solver_gamma_in_problem_file(capsys, tmp_path):
         code, out, err = run_cli(capsys, command, "--problem", path)
         assert code == 1 and out == ""
         assert "solver.gamma" in err
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
-    ("--max-iter", "0"),
-])
-def test_solver_flags_follow_the_problem_file_rule(capsys, flag, value):
-    # unchecked, a negative or NaN tolerance ran on to the iteration cap
-    for command in ("touch", "fixed-point", "cycle", "verify"):
-        code, out, err = run_cli(capsys, command, "--problem", THREE_BALL, flag, value)
-        assert code == 1 and out == ""
-        assert f"{flag} must be a positive" in err
 
 
 @pytest.mark.parametrize("bound", [math.inf, 1e300])
@@ -384,19 +453,23 @@ def test_verify_passes_on_unbounded_strip(capsys, tmp_path, bound):
 
 def test_pass_means_certified_distance(capsys, tmp_path):
     # five balls in R^2 contract at rho = 0.8: touch stops once its error
-    # bound is within tol max(1, ||d||), so at --tol 1e-6 it passes and d
-    # lies within the pass threshold of a tight solve; at --tol 1e-3 it stops
+    # bound is within tol max(1, ||d||), so at tolerance 1e-6 it passes and
+    # d lies within the pass threshold of a tight solve; at 1e-3 it stops
     # inside its own tolerance but fails the 1e-6 pass on the bound alone
     rng = np.random.default_rng(5)
     sets = [{"type": "ball", "center": list(rng.normal(size=2) * 3), "radius": 1.0}
             for _ in range(5)]
-    path = write_json(tmp_path, "five_ball.json", {"base_dimension": 2, "sets": sets})
-    code_tight, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-13")
-    tight = json.loads(out)
+
+    def solve(tolerance):
+        path = write_json(tmp_path, f"five_ball_{tolerance}.json", {
+            "base_dimension": 2, "sets": sets, "solver": {"tolerance": tolerance}})
+        code, out, _ = run_cli(capsys, "touch", "--problem", path)
+        return code, json.loads(out)
+
+    code_tight, tight = solve(1e-13)
     assert code_tight == 0 and tight["pass"] is True
 
-    code, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-6")
-    certified = json.loads(out)
+    code, certified = solve(1e-6)
     threshold = 1e-6 * max(1.0, np.linalg.norm(certified["outputs"]["d"]))
     error = np.linalg.norm(
         np.subtract(certified["outputs"]["d"], tight["outputs"]["d"]))
@@ -404,8 +477,7 @@ def test_pass_means_certified_distance(capsys, tmp_path):
     assert certified["residuals"]["error_bound"] <= threshold
     assert error <= threshold
 
-    code, out, _ = run_cli(capsys, "touch", "--problem", path, "--tol", "1e-3")
-    loose = json.loads(out)
+    code, loose = solve(1e-3)
     threshold = 1e-6 * max(1.0, np.linalg.norm(loose["outputs"]["d"]))
     error = np.linalg.norm(np.subtract(loose["outputs"]["d"], tight["outputs"]["d"]))
     assert code == 3 and loose["pass"] is False
@@ -413,10 +485,10 @@ def test_pass_means_certified_distance(capsys, tmp_path):
     assert error <= loose["residuals"]["error_bound"] + tight["residuals"]["error_bound"]
 
 
-def test_exit_2_on_iteration_cap(capsys):
+def test_exit_2_on_iteration_cap(capsys, tmp_path):
     # two_ball is solved exactly in one step, so the cap is shown on three balls
-    code, out, _ = run_cli(capsys, "cycle", "--problem", THREE_BALL,
-                           "--max-iter", "2")
+    code, out, _ = run_cli(capsys, "cycle", "--problem",
+                           with_solver(tmp_path, THREE_BALL, max_iterations=2))
     doc = json.loads(out)
     assert code == 2
     assert doc["error"] == "convergence"
@@ -459,32 +531,19 @@ def test_reports_are_strict_json(capsys, monkeypatch):
     assert code == 0 and "nonfinite" not in strict_json(out)
 
 
-def test_exit_0_writes_out_file(capsys, tmp_path):
-    out_path = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "touch", "--problem", TWO_SINGLETONS,
-                           "--out", str(out_path))
-    assert code == 0
-    assert out_path.read_text(encoding="utf-8") == out
-
-
-def test_exit_1_on_unwritable_out(capsys, tmp_path):
-    # a directory cannot be written as a file: exit 1 with no report
-    code, out, err = run_cli(capsys, "touch", "--problem", TWO_SINGLETONS,
-                             "--out", str(tmp_path))
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: cannot write {tmp_path}")
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("argv, status", [
-    (("touch", "--problem", TWO_BALL), 0),
-    (("touch", "--problem", THREE_BALL, "--tol", "1e-3"), 3),
-    (("cycle", "--problem", THREE_BALL, "--max-iter", "1"), 2),
+    # (command, problem file, solver block written into a copy of it)
+    (("touch", TWO_BALL, {}), 0),
+    (("touch", THREE_BALL, {"tolerance": 1e-3}), 3),
+    (("cycle", THREE_BALL, {"max_iterations": 1}), 2),
 ])
-def test_closed_stdout_keeps_the_exit_status(monkeypatch, capsys, argv, status):
+def test_closed_stdout_keeps_the_exit_status(monkeypatch, capsys, tmp_path,
+                                             argv, status):
     # stdout is a pipe whose reader has gone, as under ``| head``: writing
     # raises BrokenPipeError, yet the run keeps its status, prints no
     # traceback, and closing stdout afterwards flushes without an error
+    command, problem, solver = argv
+    argv = (command, "--problem", with_solver(tmp_path, problem, **solver))
     read_end, write_end = os.pipe()
     os.close(read_end)
     with open(write_end, "w", encoding="utf-8") as stdout:
@@ -502,9 +561,11 @@ def strip_timing(doc):
 
 
 def test_reports_are_deterministic(capsys):
-    _, out_a, _ = run_cli(capsys, "cycle", "--problem", TWO_BALL)
-    _, out_b, _ = run_cli(capsys, "cycle", "--problem", TWO_BALL)
-    assert strip_timing(json.loads(out_a)) == strip_timing(json.loads(out_b))
+    # the problem file is a solve's only input: its digest fixes the report
+    for command in SOLVE_COMMANDS:
+        a, b = (json.loads(run_cli(capsys, command, "--problem", THREE_BALL)[1])
+                for _ in range(2))
+        assert strip_timing(a) == strip_timing(b), command
 
 
 def test_cycle_report_matches_golden_file(capsys):

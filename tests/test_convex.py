@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import montouch.convex
 import montouch.hilbert
@@ -180,13 +180,15 @@ def balls_and_points(draw):
 
 @st.composite
 def boxes_and_points(draw):
-    """A box in R^1 to R^6 with bounds of any sign, zero or infinite, and
-    a point whose coordinates lie anywhere or on a finite bound."""
+    """A non-empty box in R^1 to R^6 with bounds of any sign, zero or
+    infinite, and a point whose coordinates lie anywhere or on a finite
+    bound."""
     dim = draw(st.integers(1, 6))
     bound = st.floats(allow_nan=False) | st.sampled_from([-math.inf, math.inf, -0.0, 0.0])
     lower, upper, v = [], [], []
     for _ in range(dim):
         lo, hi = sorted((draw(bound), draw(bound)))
+        assume(lo < math.inf and hi > -math.inf)  # else the box is empty
         on = draw(st.sampled_from([lo, hi, None]))
         v.append(on if on is not None and math.isfinite(on)
                  else draw(st.floats(allow_nan=False, allow_infinity=False)))
@@ -214,6 +216,12 @@ def test_box_rejects_inverted_bounds():
         Box([1.0], [0.0])
     with pytest.raises(ValueError):
         Box([np.nan], [1.0])
+    # a lower bound of +inf or an upper bound of -inf admits no point; the
+    # solve would otherwise fail far from the cause, on an overflowed prox
+    with pytest.raises(ValueError, match="empty"):
+        Box([math.inf, 0.0], [math.inf, 1.0])
+    with pytest.raises(ValueError, match="empty"):
+        Box([0.0, -math.inf], [1.0, -math.inf])
 
 
 def test_halfspace_projection_and_support():
