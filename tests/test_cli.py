@@ -422,6 +422,26 @@ def test_exit_1_on_solver_gamma_in_problem_file(capsys, tmp_path):
         assert "solver.gamma" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+    ("--max-iter", "0"),
+])
+def test_solver_flags_follow_the_problem_file_rule(capsys, tmp_path, flag, value):
+    # the settings the flags used to carry are read from the file's solver
+    # block only: the flag is refused, and the file's value gets the file's
+    # rule (unchecked, a negative or NaN tolerance ran on to the iteration cap)
+    field = {"--tol": "tolerance", "--max-iter": "max_iterations"}[flag]
+    path = with_solver(tmp_path, THREE_BALL, **{field: float(value) if flag == "--tol"
+                                               else int(value)})
+    for command in SOLVE_COMMANDS:
+        code, out, err = run_cli(capsys, command, "--problem", THREE_BALL, flag, value)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+        code, out, err = run_cli(capsys, command, "--problem", path)
+        assert code == 1 and out == ""
+        assert f"solver.{field} must be a positive" in err
+
+
 @pytest.mark.parametrize("bound", [math.inf, 1e300])
 def test_verify_passes_on_unbounded_strip(capsys, tmp_path, bound):
     # a half-plane, a ball and a strip whose bounds are +-bound: the support
