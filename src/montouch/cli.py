@@ -37,9 +37,9 @@ from .cycles import (
     verify_identities,
 )
 from .errors import ConvergenceError, ParseError
-from .hilbert import as_operator, orthonormal_range
+from .hilbert import as_operator, orthonormal_range, scaled_tol
 from .monotone import is_mu_unmonotone
-from .touching import _pass_threshold, touch
+from .touching import PASS_TOL, touch
 
 @dataclass
 class SolverSettings:
@@ -260,6 +260,7 @@ def parse_matrix(path):
         "matrix must be a non-empty list of rows of numbers",
     )
     _require(all(len(r) == len(rows) for r in rows), "matrix must be square")
+    rows = [_floats(r, "matrix has an entry beyond the float range") for r in rows]
     try:
         return as_operator(rows, square=True), digest
     except ValueError as err:
@@ -267,8 +268,6 @@ def parse_matrix(path):
 
 
 def _check_unmonotone(matrix, mu):
-    if mu is None or mu <= 0:
-        raise ParseError("--mu must be a positive number")
     holds, cert = is_mu_unmonotone(matrix, mu)
     outputs = {
         "unmonotone": bool(holds),
@@ -289,7 +288,7 @@ def _solve(command, problem, solver):
         outputs = {"d": res.d, "e": res.e, "gamma": res.gamma, "rho": res.rho}
         residuals = {"graph_residual": res.graph_residual,
                      "error_bound": res.error_bound}
-        return (outputs, residuals, res.error_bound <= _pass_threshold(res.d),
+        return (outputs, residuals, res.error_bound <= scaled_tol(PASS_TOL, res.d),
                 res.iterations)
     if command not in ("cycle", "verify"):
         raise ParseError(f"unknown command {command!r}")

@@ -9,7 +9,7 @@ a support function of an unbounded set really returns +inf off its domain.
 Validation contract: the public ``ConvexSet.project(x)``,
 ``ConvexSet.support(u)``, ``ProxFunction.prox(lam, x)`` and
 ``ProxFunction.value(x)`` validate once, in the base class, with
-``as_vector(x, dim)`` and ``_check_step(lam)``, and then call the class's
+``as_vector(x, dim)`` and ``as_positive(lam, "step")``, and then call the class's
 kernel, ``_project(v)``, ``_support(v)``, ``_prox(lam, v)`` or
 ``_value(v)``.  A kernel takes a validated float64 vector of the block's
 length and a checked step, and checks neither again.  Composites run
@@ -30,12 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import Subspace, as_vector
+from .hilbert import Subspace, as_positive, as_vector, scaled_tol
 
 # Distance tolerance for indicator evaluation / membership checks.
 MEMBERSHIP_TOL = 1e-9
-# Relative tolerance deciding whether a direction is support-admissible
-# for an unbounded set (halfspace ray, affine orthogonal complement).
+# Tolerance, scaled by max(1, ||u||), deciding whether a direction u is
+# support-admissible for an unbounded set (halfspace ray, affine
+# orthogonal complement).
 DIRECTION_TOL = 1e-9
 
 
@@ -166,10 +167,8 @@ class Halfspace(ConvexSet):
         nn = float(self.normal @ self.normal)
         t = float(self.normal @ w) / nn
         resid = w - t * self.normal
-        scale = max(1.0, float(np.linalg.norm(w)))
-        if float(np.linalg.norm(resid)) > DIRECTION_TOL * scale:
-            return math.inf
-        if t < -DIRECTION_TOL * scale:
+        slack = scaled_tol(DIRECTION_TOL, w)
+        if float(np.linalg.norm(resid)) > slack or t < -slack:
             return math.inf
         return max(t, 0.0) * self.offset
 
@@ -196,9 +195,8 @@ class AffineSet(ConvexSet):
 
     def _support(self, w):
         # Finite only for u orthogonal to every direction.
-        scale = max(1.0, float(np.linalg.norm(w)))
         tangential = self.directions.basis.T @ w
-        if tangential.size and float(np.linalg.norm(tangential)) > DIRECTION_TOL * scale:
+        if tangential.size and float(np.linalg.norm(tangential)) > scaled_tol(DIRECTION_TOL, w):
             return math.inf
         return float(self.basepoint @ w)
 
@@ -223,13 +221,6 @@ class Singleton(ConvexSet):
         return float(self.point @ w)
 
 
-def _check_step(lam):
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("step must be positive and finite")
-    return lam
-
-
 class ProxFunction:
     """Proper closed convex function with an exact prox and conjugate.
 
@@ -247,7 +238,7 @@ class ProxFunction:
         raise NotImplementedError
 
     def prox(self, lam, x):
-        lam = _check_step(lam)
+        lam = as_positive(lam, "step")
         z = self._prox(lam, as_vector(x, dim=self.ambient_dim))
         # kernels do not check their intermediates: Support projects x / lam,
         # which overflows at a tiny step
@@ -318,10 +309,7 @@ class ScaledSquare(ProxFunction):
     dim: int
 
     def __post_init__(self):
-        w = float(self.weight)
-        if not (w > 0.0 and math.isfinite(w)):
-            raise ValueError("weight must be positive and finite")
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", as_positive(self.weight, "weight"))
         object.__setattr__(self, "dim", int(self.dim))
 
     @property

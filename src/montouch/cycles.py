@@ -27,9 +27,9 @@ import numpy as np
 
 from .convex import ConvexSet, SeparableSum, Support
 from .errors import DegenerateProblemError
-from .hilbert import BlockCirculant, as_vector, project_onto
+from .hilbert import BlockCirculant, as_vector, project_onto, scaled_tol
 from .monotone import SubspaceRestrictedOracle
-from .touching import VerificationReport, _certificate, _pass_threshold, touch
+from .touching import PASS_TOL, VerificationReport, _certificate, touch
 
 # The gate constant of the cycle's Q = T^{-1}: sym(Q) = -I/2 exactly.
 CYCLE_LAM = 0.5
@@ -143,11 +143,11 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
     """Cyclic projection cycle, or None when the sweep does not settle.
 
     Iterates z -> P_N(... P_1(z) ...) from ``start`` (default 0) until
-    ||z_next - z|| <= tol, then unrolls one sweep into
+    ||z_next - z|| <= tol max(1, ||z_next||), then unrolls one sweep into
     x = (x_1, ..., x_N), so x_i = P_i(x_{i-1}) holds by construction for
     i > 1.  The wrap-around x_1 = P_1(x_N) is off by at most
-    ||T z - z|| <= tol for the nonexpansive sweep T; ``verify_identities``
-    checks x independently through S x = S e.
+    ||T z - z|| <= tol max(1, ||z||) for the nonexpansive sweep T;
+    ``verify_identities`` checks x independently through S x = S e.
     """
     m = problem.base_dim
     z = np.zeros(m) if start is None else as_vector(start, dim=m)
@@ -157,7 +157,7 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
             z_next = c.project(z_next)
         change = float(np.linalg.norm(z_next - z))
         z = z_next
-        if change <= tol:
+        if change <= scaled_tol(tol, z):
             break
     else:
         return None
@@ -190,7 +190,7 @@ def verify_identities(problem, solution):
     s = problem.displacement
     e = as_vector(solution.e, dim=s.shape[0])
     se = s @ e
-    threshold = _pass_threshold(se)
+    threshold = scaled_tol(PASS_TOL, se)
 
     _, bound = _certificate(*touching_pair(problem), se)
     residuals = {
@@ -201,7 +201,7 @@ def verify_identities(problem, solution):
     }
     thresholds = {
         "error_bound": threshold,
-        "range_membership": 1e-9 * max(1.0, float(np.linalg.norm(e))),
+        "range_membership": scaled_tol(1e-9, e),
     }
 
     if solution.classical_cycle is not None:

@@ -3,9 +3,10 @@ subspaces, spectral quantities, and condition-gated inversion.
 
 Everything is float64.  Vectors are plain 1-d arrays and operators plain 2-d
 arrays or ``BlockCirculant`` maps; the validators below are the single entry
-point for shape and finiteness checks.
+point for shape, finiteness and sign checks; ``scaled_tol`` owns tolerances.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,21 @@ def as_vector(x, dim=None):
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
     return v
+
+
+def as_positive(value, name):
+    """``value`` as a float; ValueError unless it is positive and finite."""
+    if not 0.0 < float(value) < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
+def scaled_tol(tol, size):
+    """tol * max(1, size); a vector's size is its norm, bit for bit
+    ``np.linalg.norm``.  Every stop, gate and pass threshold is one of these."""
+    if isinstance(size, np.ndarray):
+        size = math.sqrt(size.dot(size))
+    return tol * max(1.0, size)
 
 
 class BlockCirculant:

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ProxFunction, _check_step
+from .convex import ProxFunction
 from .errors import ConvergenceError, PreconditionError
-from .hilbert import as_operator, as_vector, max_sym_eigenvalue, operator_norm
+from .hilbert import (as_operator, as_positive, as_vector, max_sym_eigenvalue,
+                      operator_norm, scaled_tol)
 
-# Gates that sit exactly at zero in exact arithmetic get this much slack.
+# Gates exact at zero get this slack, times max(1, the size of their matrix).
 SPECTRAL_SLACK = 1e-12
 # The unmonotonicity certificate is slightly looser so that a modulus
-# within ~1e-12 of the exact boundary still certifies.
+# within ~1e-12 relative of the exact boundary still certifies.
 UNMONOTONE_SLACK = 1e-11
 
 SUM_PROX_TOL = 1e-11
@@ -35,7 +36,8 @@ class UnmonotoneCertificate:
     """Spectral witness for <y, Qy> + mu (||y||^2 + ||Qy||^2) <= 0.
 
     ``max_eig`` is the largest eigenvalue of sym(Q) + mu (I + Q^T Q); the
-    certificate holds iff it is nonpositive (up to UNMONOTONE_SLACK).
+    certificate holds iff it is nonpositive, up to UNMONOTONE_SLACK times
+    max(1, ||Q|| + mu (1 + ||Q||^2)), a bound on that matrix's norm.
     """
 
     mu: float
@@ -44,7 +46,8 @@ class UnmonotoneCertificate:
 
     @property
     def valid(self):
-        return self.max_eig <= UNMONOTONE_SLACK
+        norm = self.operator_norm
+        return self.max_eig <= scaled_tol(UNMONOTONE_SLACK, norm + self.mu * (1.0 + norm * norm))
 
 
 def is_mu_unmonotone(q, mu):
@@ -55,9 +58,7 @@ def is_mu_unmonotone(q, mu):
     sym(Q) + mu (I + Q^T Q) <= 0, checked by its largest eigenvalue.
     """
     m = as_operator(q, square=True)
-    mu = float(mu)
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError("mu must be positive and finite")
+    mu = as_positive(mu, "mu")
     n = m.shape[0]
     witness = 0.5 * (m + m.T) + mu * (np.eye(n) + m.T @ m)
     max_eig = float(np.linalg.eigvalsh(witness)[-1]) if n else 0.0
@@ -70,16 +71,14 @@ def certified_lambda(q, lam):
     largest constant for which it holds, -max_sym_eigenvalue(Q).
 
     ``lam`` only gates: the check is spectral (max_sym_eigenvalue(Q) <= -lam
-    up to slack, and below 0 in any case), and PreconditionError reports the
-    offending eigenvalue.
+    up to SPECTRAL_SLACK max(1, lam), and below 0 in any case), and
+    PreconditionError reports the offending eigenvalue.
     """
     m = as_operator(q, square=True)
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
+    lam = as_positive(lam, "lam")
     top = max_sym_eigenvalue(m)
     # the slack forgives rounding against lam, never a top eigenvalue >= 0
-    if top > -lam + SPECTRAL_SLACK or top >= 0.0:
+    if top > -lam + scaled_tol(SPECTRAL_SLACK, lam) or top >= 0.0:
         raise PreconditionError(
             f"<y, Qy> <= -lam ||y||^2 fails: largest symmetric eigenvalue "
             f"{top:.6e} exceeds {-lam:.6e}"
@@ -126,16 +125,16 @@ class LinearMonotoneOracle(ResolventOracle):
 
     def __init__(self, matrix):
         a = as_operator(matrix, square=True)
-        low = -max_sym_eigenvalue(-a)  # smallest symmetric eigenvalue
-        if low < -SPECTRAL_SLACK:
+        eigs = np.linalg.eigvalsh(0.5 * (a + a.T))  # eigs[0] is the smallest
+        if eigs[0] < -scaled_tol(SPECTRAL_SLACK, max(-eigs[0], eigs[-1])):
             raise ValueError(
-                f"matrix is not monotone: smallest symmetric eigenvalue {low:.6e}"
+                f"matrix is not monotone: smallest symmetric eigenvalue {eigs[0]:.6e}"
             )
         self.matrix = a
         self.dim = a.shape[0]
 
     def resolvent(self, lam, x):
-        lam = _check_step(lam)
+        lam = as_positive(lam, "step")
         v = as_vector(x, dim=self.dim)
         return np.linalg.solve(np.eye(self.dim) + lam * self.matrix, v)
 
@@ -166,10 +165,7 @@ class SubspaceRestrictedOracle(ResolventOracle):
 
 def minty_point(oracle, mu):
     """The unique y with 0 in mu y + M y, namely (I + M/mu)^{-1} 0."""
-    mu = float(mu)
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError("mu must be positive and finite")
-    return oracle.resolvent(1.0 / mu, np.zeros(oracle.dim))
+    return oracle.resolvent(1.0 / as_positive(mu, "mu"), np.zeros(oracle.dim))
 
 
 def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER):
@@ -178,12 +174,12 @@ def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER)
     Dykstra's scheme alternating the prox of ``lam * fn`` with the
     projection onto the subspace.  The projection needs no correction term:
     for a linear subspace V that term stays in V^perp, where P_V vanishes.
-    Stops when both the successive change
-    of the subspace iterate and the gap between the two half-steps fall
-    below ``tol``; hitting the cap (e.g. because dom fn never meets the
-    subspace) raises ConvergenceError carrying the last residual.
+    Stops when both the successive change of the subspace iterate x and
+    the gap between the two half-steps fall below tol * max(1, ||x||);
+    hitting the cap (e.g. because dom fn never meets the subspace) raises
+    ConvergenceError carrying the last residual.
     """
-    lam = _check_step(lam)
+    lam = as_positive(lam, "step")
     v = as_vector(v, dim=subspace.ambient_dim)
     x = v.copy()
     p = np.zeros_like(v)
@@ -197,7 +193,7 @@ def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER)
             float(np.linalg.norm(y - x_next)),
         )
         x = x_next
-        if residual <= tol:
+        if residual <= scaled_tol(tol, x):
             return x
     raise ConvergenceError(
         f"sum_prox did not converge within {max_iter} iterations "

@@ -35,8 +35,8 @@ y -> F(y), is also that certificate of y, so ``touch`` stops at the first
 iterate whose bound ||F(y) - y|| / (1 - rho) is within tol max(1, ||y||)
 and returns that y with that bound: no further resolvent call.  The bound
 holds for any d, but it measures F through the oracle: an oracle that
-solves an inner problem (``sum_prox`` stops on a change of 1e-11) adds an
-error that the bound does not see.  ``verify_touch`` and
+solves an inner problem (``sum_prox`` stops on a relative change of 1e-11)
+adds an error that the bound does not see.  ``verify_touch`` and
 ``cycles.verify_identities`` recompute the bound from Q at the same step.
 
 ``fixed_point`` solves y in M(T y) for an invertible T as ``touch`` on
@@ -57,9 +57,12 @@ from .hilbert import (
     invert,
     max_sym_eigenvalue,
     operator_norm,
+    scaled_tol,
 )
 from .monotone import certified_lambda
 
+# A certificate passes within PASS_TOL max(1, ||d||).
+PASS_TOL = 1e-6
 # Symmetric eigen-solves the step search spends, counting the one at
 # lam / beta^2; the other 15 shrink the search interval about 500-fold.
 _STEP_SEARCH_SOLVES = 16
@@ -151,10 +154,6 @@ def _certificate(oracle, q, d):
     return residual, residual / (1.0 - rho)
 
 
-def _pass_threshold(x):
-    return 1e-6 * max(1.0, float(np.linalg.norm(x)))
-
-
 def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     """Find the touching point of the monotone oracle and the linear map ``q``.
 
@@ -193,7 +192,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
                 iterations=it + 1,
             )
         bound = residual / (1.0 - rho)
-        if bound <= tol * max(1.0, math.sqrt(y.dot(y))):
+        if bound <= scaled_tol(tol, y):
             return TouchResult(
                 d=y, e=q @ y, graph_residual=residual, error_bound=bound,
                 iterations=it, gamma=gamma, rho=rho,
@@ -243,7 +242,7 @@ def verify_touch(oracle, q, result):
         "graph_residual": float(np.linalg.norm(e - q @ d)) + fixed_residual,
         "error_bound": bound,
     }
-    threshold = _pass_threshold(d)
+    threshold = scaled_tol(PASS_TOL, d)
     thresholds = {name: threshold for name in residuals}
     return VerificationReport(
         residuals=residuals,

@@ -255,6 +255,7 @@ def test_parse_matrix_happy_path():
     ({"matrix": [[1.0, 2.0], [3.0]]}, "square"),
     ({"matrix": [[1.0, 2.0]]}, "square"),
     ({"matrix": [[True, 0.0], [0.0, -1.0]]}, "rows of numbers"),
+    ({"matrix": [[-1, 0], [0, -10 ** 400]]}, "matrix has an entry beyond the float range"),
 ])
 def test_parse_matrix_rejects_bad_input(tmp_path, doc, fragment):
     path = write_json(tmp_path, "m.json", doc)
@@ -283,6 +284,36 @@ def test_check_unmonotone_fails_above_half(capsys):
     assert code == 3
     assert doc["pass"] is False
     assert doc["outputs"]["unmonotone"] is False
+
+
+@pytest.mark.parametrize("mu", ["0", "-1", "nan", "inf"])
+def test_check_unmonotone_rejects_bad_mu_with_the_library_message(capsys, mu):
+    code, out, err = run_cli(capsys, "check-unmonotone",
+                             "--matrix", NEG_IDENTITY, "--mu", mu)
+    assert code == 1 and out == ""
+    assert err == "error: mu must be positive and finite\n"
+
+
+def test_cycle_passes_on_a_family_a_million_units_wide(capsys, tmp_path):
+    # the inner stop scales with the iterate: an absolute 1e-11 stalled here
+    # at sum_prox's iteration cap and exited 2
+    path = write_json(tmp_path, "wide.json", {
+        "base_dimension": 2,
+        "sets": [
+            {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            {"type": "ball", "center": [1e6, 3e5], "radius": 1.0},
+            {"type": "ball", "center": [5e5, 1e6], "radius": 2.0},
+        ],
+    })
+    code, out, _ = run_cli(capsys, "cycle", "--problem", path)
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True
+    # verify ties the same gap vector to the classical projection cycle
+    code, out, _ = run_cli(capsys, "verify", "--problem", path)
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True
+    assert set(doc["residuals"]) == {"error_bound", "range_membership",
+                                     "classical_shift_gap"}
 
 
 def test_touch_command_on_singletons(capsys):

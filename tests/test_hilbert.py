@@ -1,5 +1,7 @@
 """Linear algebra primitives: frozen small cases plus sampled invariants."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from montouch import (
     orthonormal_range,
     project_onto,
 )
+from montouch.hilbert import as_positive, scaled_tol
+
+SRC = Path(__file__).parent.parent / "src" / "montouch"
 
 
 def test_as_vector_rejects_nonfinite():
@@ -23,6 +28,36 @@ def test_as_vector_rejects_nonfinite():
         as_vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
         as_vector([1.0, 2.0], dim=3)
+
+
+def test_one_owner_for_tolerances_and_positivity():
+    # "small enough" (tol * max(1, size)) and "positive and finite" are each
+    # written once, in hilbert; every other module calls scaled_tol or
+    # as_positive, so no site can drift back to an absolute constant
+    modules = sorted(SRC.glob("*.py"))
+    assert {"cli.py", "convex.py", "cycles.py", "monotone.py", "touching.py"} <= {
+        path.name for path in modules}
+    for path in modules:
+        if path.name == "hilbert.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        assert "max(1.0," not in text, path.name
+        assert "must be positive and finite" not in text, path.name
+
+
+def test_scaled_tol_is_tol_times_max_one_size():
+    assert scaled_tol(1e-6, 0.25) == 1e-6
+    assert scaled_tol(1e-6, 4.0) == 4e-6
+    x = np.random.default_rng(2).normal(size=50) * 1e3
+    assert scaled_tol(1.0, x) == float(np.linalg.norm(x))
+    assert scaled_tol(1e-9, np.zeros(3)) == 1e-9
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_as_positive_names_the_value(value):
+    assert as_positive(2, "step") == 2.0
+    with pytest.raises(ValueError, match="^weight must be positive and finite$"):
+        as_positive(value, "weight")
 
 
 def test_as_operator_rejects_bad_shapes():

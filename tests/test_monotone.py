@@ -23,6 +23,7 @@ from montouch import (
     orthonormal_range,
     sum_prox,
 )
+from montouch.monotone import certified_lambda
 from helpers import random_gate_matrix, random_monotone_matrix, random_prox_function
 
 DIAGONAL = orthonormal_range(np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]))
@@ -183,6 +184,51 @@ def test_modulus_certifies_unmonotonicity():
         mu = modulus_from_lambda(q, 0.5)
         holds, cert = is_mu_unmonotone(q, mu)
         assert holds, cert
+
+
+# ------------------------------------------------------------ scale
+
+def _orthogonal(rng, dim):
+    return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+
+
+@pytest.mark.parametrize("s", [1e3, 1e5])
+def test_certified_lambda_gate_is_unit_free(s):
+    # Q = s U (K - I/2) U^T with K skew has sym(Q) = -(s/2) I up to rounding,
+    # which an absolute slack refused at lam = s/2 as s grew
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        u, g = _orthogonal(rng, 8), rng.normal(size=(8, 8))
+        q = s * u @ (g - g.T - 0.5 * np.eye(8)) @ u.T
+        assert certified_lambda(q, s / 2) == pytest.approx(s / 2, rel=1e-12)
+        with pytest.raises(PreconditionError):
+            certified_lambda(q, s / 2 * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("s", [1e3, 1e6])
+def test_linear_monotone_gate_is_unit_free(s):
+    # s G G^T is positive semidefinite and singular: its zero eigenvalues
+    # round to about -1e-16 s, which an absolute slack refused
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        g = rng.normal(size=(6, 3))
+        LinearMonotoneOracle(s * g @ g.T)
+        with pytest.raises(ValueError, match="not monotone"):
+            LinearMonotoneOracle(s * g @ g.T - 1e-6 * s * np.eye(6))
+
+
+@pytest.mark.parametrize("s", [1e4, 1e6])
+def test_unmonotone_certificate_is_unit_free(s):
+    # Q = U (-s I) U^T is mu-unmonotone exactly up to mu = s / (1 + s^2)
+    rng = np.random.default_rng(7)
+    edge = s / (1.0 + s * s)
+    for _ in range(100):
+        u = _orthogonal(rng, 8)
+        q = u @ (-s * np.eye(8)) @ u.T
+        holds, cert = is_mu_unmonotone(q, edge)
+        assert holds, cert
+        holds, cert = is_mu_unmonotone(q, edge * (1.0 + 1e-6))
+        assert not holds, cert
 
 
 # ------------------------------------------------------------ sum_prox
