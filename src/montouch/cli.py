@@ -288,8 +288,8 @@ def _solve(command, problem, solver):
         outputs = {"d": res.d, "e": res.e, "gamma": res.gamma, "rho": res.rho}
         residuals = {"graph_residual": res.graph_residual,
                      "error_bound": res.error_bound}
-        return (outputs, residuals, res.error_bound <= scaled_tol(PASS_TOL, res.d),
-                res.iterations)
+        passed = res.error_bound <= scaled_tol(PASS_TOL, math.sqrt(res.d.dot(res.d)))
+        return outputs, residuals, passed, res.iterations
     if command not in ("cycle", "verify"):
         raise ParseError(f"unknown command {command!r}")
     solution = generalized_cycle(problem, **limits)

@@ -167,7 +167,7 @@ class Halfspace(ConvexSet):
         nn = float(self.normal @ self.normal)
         t = float(self.normal @ w) / nn
         resid = w - t * self.normal
-        slack = scaled_tol(DIRECTION_TOL, w)
+        slack = scaled_tol(DIRECTION_TOL, math.sqrt(w.dot(w)))
         if float(np.linalg.norm(resid)) > slack or t < -slack:
             return math.inf
         return max(t, 0.0) * self.offset
@@ -196,7 +196,8 @@ class AffineSet(ConvexSet):
     def _support(self, w):
         # Finite only for u orthogonal to every direction.
         tangential = self.directions.basis.T @ w
-        if tangential.size and float(np.linalg.norm(tangential)) > scaled_tol(DIRECTION_TOL, w):
+        slack = scaled_tol(DIRECTION_TOL, math.sqrt(w.dot(w)))
+        if tangential.size and float(np.linalg.norm(tangential)) > slack:
             return math.inf
         return float(self.basepoint @ w)
 

@@ -21,6 +21,7 @@ with the touching error bound alone, and ties an attached classical cycle to
 it by S x = S e.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,7 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
             z_next = c.project(z_next)
         change = float(np.linalg.norm(z_next - z))
         z = z_next
-        if change <= scaled_tol(tol, z):
+        if change <= scaled_tol(tol, math.sqrt(z.dot(z))):
             break
     else:
         return None
@@ -190,7 +191,7 @@ def verify_identities(problem, solution):
     s = problem.displacement
     e = as_vector(solution.e, dim=s.shape[0])
     se = s @ e
-    threshold = scaled_tol(PASS_TOL, se)
+    threshold = scaled_tol(PASS_TOL, math.sqrt(se.dot(se)))
 
     _, bound = _certificate(*touching_pair(problem), se)
     residuals = {
@@ -201,7 +202,7 @@ def verify_identities(problem, solution):
     }
     thresholds = {
         "error_bound": threshold,
-        "range_membership": scaled_tol(1e-9, e),
+        "range_membership": scaled_tol(1e-9, math.sqrt(e.dot(e))),
     }
 
     if solution.classical_cycle is not None:

@@ -41,10 +41,9 @@ def as_positive(value, name):
 
 
 def scaled_tol(tol, size):
-    """tol * max(1, size); a vector's size is its norm, bit for bit
-    ``np.linalg.norm``.  Every stop, gate and pass threshold is one of these."""
-    if isinstance(size, np.ndarray):
-        size = math.sqrt(size.dot(size))
+    """tol * max(1, size) for a float ``size``; callers size a vector v by
+    ``math.sqrt(v.dot(v))``, bit for bit ``np.linalg.norm``.  Every stop, pass
+    threshold and the lam gate is one of these."""
     return tol * max(1.0, size)
 
 

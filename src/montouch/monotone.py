@@ -21,11 +21,12 @@ from .errors import ConvergenceError, PreconditionError
 from .hilbert import (as_operator, as_positive, as_vector, max_sym_eigenvalue,
                       operator_norm, scaled_tol)
 
-# Gates exact at zero get this slack, times max(1, the size of their matrix).
+# certified_lambda forgives SPECTRAL_SLACK * max(1, lam).  The monotonicity
+# gates forgive the larger of a floor and ROUNDING_SLACK times a bound on the
+# matrix norm, which is about 10x the rounding of its eigenvalues.
 SPECTRAL_SLACK = 1e-12
-# The unmonotonicity certificate is slightly looser so that a modulus
-# within ~1e-12 relative of the exact boundary still certifies.
 UNMONOTONE_SLACK = 1e-11
+ROUNDING_SLACK = 1e-14
 
 SUM_PROX_TOL = 1e-11
 SUM_PROX_MAX_ITER = 200000
@@ -36,8 +37,8 @@ class UnmonotoneCertificate:
     """Spectral witness for <y, Qy> + mu (||y||^2 + ||Qy||^2) <= 0.
 
     ``max_eig`` is the largest eigenvalue of sym(Q) + mu (I + Q^T Q); the
-    certificate holds iff it is nonpositive, up to UNMONOTONE_SLACK times
-    max(1, ||Q|| + mu (1 + ||Q||^2)), a bound on that matrix's norm.
+    certificate holds iff it is nonpositive, up to the larger of UNMONOTONE_SLACK
+    and ROUNDING_SLACK (||Q|| + mu (1 + ||Q||^2)), a bound on that matrix's norm.
     """
 
     mu: float
@@ -46,8 +47,8 @@ class UnmonotoneCertificate:
 
     @property
     def valid(self):
-        norm = self.operator_norm
-        return self.max_eig <= scaled_tol(UNMONOTONE_SLACK, norm + self.mu * (1.0 + norm * norm))
+        size = self.operator_norm + self.mu * (1.0 + self.operator_norm ** 2)
+        return self.max_eig <= max(UNMONOTONE_SLACK, ROUNDING_SLACK * size)
 
 
 def is_mu_unmonotone(q, mu):
@@ -126,7 +127,7 @@ class LinearMonotoneOracle(ResolventOracle):
     def __init__(self, matrix):
         a = as_operator(matrix, square=True)
         eigs = np.linalg.eigvalsh(0.5 * (a + a.T))  # eigs[0] is the smallest
-        if eigs[0] < -scaled_tol(SPECTRAL_SLACK, max(-eigs[0], eigs[-1])):
+        if eigs[0] < -max(SPECTRAL_SLACK, ROUNDING_SLACK * max(-eigs[0], eigs[-1])):
             raise ValueError(
                 f"matrix is not monotone: smallest symmetric eigenvalue {eigs[0]:.6e}"
             )
@@ -193,7 +194,7 @@ def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER)
             float(np.linalg.norm(y - x_next)),
         )
         x = x_next
-        if residual <= scaled_tol(tol, x):
+        if residual <= scaled_tol(tol, math.sqrt(x.dot(x))):
             return x
     raise ConvergenceError(
         f"sum_prox did not converge within {max_iter} iterations "

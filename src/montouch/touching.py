@@ -192,7 +192,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
                 iterations=it + 1,
             )
         bound = residual / (1.0 - rho)
-        if bound <= scaled_tol(tol, y):
+        if bound <= scaled_tol(tol, math.sqrt(y.dot(y))):
             return TouchResult(
                 d=y, e=q @ y, graph_residual=residual, error_bound=bound,
                 iterations=it, gamma=gamma, rho=rho,
@@ -242,7 +242,7 @@ def verify_touch(oracle, q, result):
         "graph_residual": float(np.linalg.norm(e - q @ d)) + fixed_residual,
         "error_bound": bound,
     }
-    threshold = scaled_tol(PASS_TOL, d)
+    threshold = scaled_tol(PASS_TOL, math.sqrt(d.dot(d)))
     thresholds = {name: threshold for name in residuals}
     return VerificationReport(
         residuals=residuals,

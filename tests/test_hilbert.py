@@ -1,5 +1,6 @@
 """Linear algebra primitives: frozen small cases plus sampled invariants."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,10 @@ def test_one_owner_for_tolerances_and_positivity():
 def test_scaled_tol_is_tol_times_max_one_size():
     assert scaled_tol(1e-6, 0.25) == 1e-6
     assert scaled_tol(1e-6, 4.0) == 4e-6
+    assert scaled_tol(1e-9, 0.0) == 1e-9
+    # callers size a vector by the dot form, bit for bit np.linalg.norm
     x = np.random.default_rng(2).normal(size=50) * 1e3
-    assert scaled_tol(1.0, x) == float(np.linalg.norm(x))
-    assert scaled_tol(1e-9, np.zeros(3)) == 1e-9
+    assert scaled_tol(1.0, math.sqrt(x.dot(x))) == float(np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])

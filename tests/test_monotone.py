@@ -50,6 +50,10 @@ def test_linear_monotone_resolvent():
 def test_linear_monotone_rejects_nonmonotone():
     with pytest.raises(ValueError):
         LinearMonotoneOracle(-np.eye(2))
+    # the slack is rounding-sized (1e-8 here), so an eigenvalue of -1e-7 far
+    # below the norm is not forgiven
+    with pytest.raises(ValueError, match="not monotone"):
+        LinearMonotoneOracle(np.diag([1e6, -1e-7]))
     # skew maps are monotone
     LinearMonotoneOracle(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -123,6 +127,10 @@ def test_is_mu_unmonotone_frozen_values():
     holds, cert = is_mu_unmonotone(-np.eye(2), 0.6)
     assert not holds and cert.max_eig == pytest.approx(0.2, abs=1e-12)
     assert cert.operator_norm == pytest.approx(1.0, abs=1e-12)
+    # mu-unmonotone only up to about 1e-8: at 1e-7 the witness eigenvalue
+    # 9e-8 is far above the rounding slack of about 1e-10
+    holds, cert = is_mu_unmonotone(np.diag([-1e4, -1e-8]), 1e-7)
+    assert not holds and cert.max_eig == pytest.approx(9e-8, rel=1e-6)
 
 
 def test_is_mu_unmonotone_rejects_bad_mu():
