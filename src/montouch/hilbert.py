@@ -80,6 +80,21 @@ def as_operator(a, square=False):
     return m
 
 
+def form_eigenvalues(a):
+    """Eigenvalues of alpha I + beta (A + A^T) + delta A^T A as a function of (alpha, beta,
+    delta): ascending for a dense A, one per DFT mode for a ``BlockCirculant``."""
+    with np.errstate(over="ignore"):  # an overflowing A^T A is refused below
+        if isinstance(a, BlockCirculant):
+            eye, sym2, gram = 1.0, 2.0 * a.spectrum.real, np.abs(a.spectrum) ** 2
+        else:
+            m = as_operator(a, square=True)
+            eye, sym2, gram = np.eye(m.shape[0]), m + m.T, m.T @ m
+    if not np.isfinite(gram).all():
+        raise ValueError("operator too large: A^T A overflows")
+    solve = np.linalg.eigvalsh if gram.ndim == 2 else np.asarray
+    return lambda alpha, beta, delta: solve(alpha * eye + beta * sym2 + delta * gram)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace stored as an orthonormal column basis.
@@ -144,11 +159,7 @@ def operator_norm(a):
 
 def max_sym_eigenvalue(a):
     """Largest eigenvalue of the symmetric part (A + A^T) / 2."""
-    if isinstance(a, BlockCirculant):
-        return float(a.spectrum.real.max())
-    m = as_operator(a, square=True)
-    sym = 0.5 * (m + m.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
+    return float(form_eigenvalues(a)(0.0, 0.5, 0.0).max())
 
 
 def invert(a):
@@ -157,6 +168,8 @@ def invert(a):
     Raises SingularOperatorError when sigma_min / sigma_max <= COND_TOL,
     reporting the offending ratio.
     """
+    if isinstance(a, BlockCirculant):
+        raise ValueError("invert takes a dense matrix, not a BlockCirculant")
     m = as_operator(a, square=True)
     if m.shape[0] == 0:
         return m.copy()

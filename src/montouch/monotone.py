@@ -8,7 +8,9 @@ The module also certifies strong anti-monotonicity of a linear map
 (``is_mu_unmonotone``), checks the quadratic-form gate the touching solver
 needs (``certified_lambda``) and converts that gate into the
 anti-monotonicity modulus of the paper's hypothesis
-(``modulus_from_lambda``).
+(``modulus_from_lambda``).  Each gate reads one spectrum of
+``hilbert.form_eigenvalues``: the certificate its top at (mu, 1/2, mu), the
+lam gate and the linear oracle both ends of sym(Q) at (0, 1/2, 0).
 """
 
 import math
@@ -18,12 +20,12 @@ import numpy as np
 
 from .convex import ProxFunction
 from .errors import ConvergenceError, PreconditionError
-from .hilbert import (as_operator, as_positive, as_vector, max_sym_eigenvalue,
-                      operator_norm, scaled_tol)
+from .hilbert import (BlockCirculant, as_operator, as_positive, as_vector,
+                      form_eigenvalues, operator_norm, scaled_tol)
 
-# certified_lambda forgives SPECTRAL_SLACK * max(1, lam).  The monotonicity
-# gates forgive the larger of a floor and ROUNDING_SLACK times a bound on the
-# matrix norm, which is about 10x the rounding of its eigenvalues.
+# Each spectral gate forgives the larger of a floor (SPECTRAL_SLACK * max(1, lam),
+# SPECTRAL_SLACK or UNMONOTONE_SLACK) and ROUNDING_SLACK times a bound on the norm
+# of the matrix whose eigenvalue it reads, about 10x that eigenvalue's rounding.
 SPECTRAL_SLACK = 1e-12
 UNMONOTONE_SLACK = 1e-11
 ROUNDING_SLACK = 1e-14
@@ -60,9 +62,7 @@ def is_mu_unmonotone(q, mu):
     """
     m = as_operator(q, square=True)
     mu = as_positive(mu, "mu")
-    n = m.shape[0]
-    witness = 0.5 * (m + m.T) + mu * (np.eye(n) + m.T @ m)
-    max_eig = float(np.linalg.eigvalsh(witness)[-1]) if n else 0.0
+    max_eig = float(form_eigenvalues(m)(mu, 0.5, mu).max()) if m.shape[0] else 0.0
     cert = UnmonotoneCertificate(mu=mu, max_eig=max_eig, operator_norm=operator_norm(m))
     return cert.valid, cert
 
@@ -72,14 +72,17 @@ def certified_lambda(q, lam):
     largest constant for which it holds, -max_sym_eigenvalue(Q).
 
     ``lam`` only gates: the check is spectral (max_sym_eigenvalue(Q) <= -lam
-    up to SPECTRAL_SLACK max(1, lam), and below 0 in any case), and
+    up to the larger of SPECTRAL_SLACK max(1, lam) and ROUNDING_SLACK times
+    the largest |eigenvalue| of sym(Q), and below 0 in any case), and
     PreconditionError reports the offending eigenvalue.
     """
     m = as_operator(q, square=True)
     lam = as_positive(lam, "lam")
-    top = max_sym_eigenvalue(m)
-    # the slack forgives rounding against lam, never a top eigenvalue >= 0
-    if top > -lam + scaled_tol(SPECTRAL_SLACK, lam) or top >= 0.0:
+    eigs = form_eigenvalues(m)(0.0, 0.5, 0.0)
+    low, top = float(eigs.min()), float(eigs.max())
+    # the slack forgives rounding, never a top eigenvalue >= 0
+    slack = max(scaled_tol(SPECTRAL_SLACK, lam), ROUNDING_SLACK * max(-low, top))
+    if top > -lam + slack or top >= 0.0:
         raise PreconditionError(
             f"<y, Qy> <= -lam ||y||^2 fails: largest symmetric eigenvalue "
             f"{top:.6e} exceeds {-lam:.6e}"
@@ -122,11 +125,14 @@ class SubdifferentialOracle(ResolventOracle):
 
 
 class LinearMonotoneOracle(ResolventOracle):
-    """M x = A x for a matrix with positive semidefinite symmetric part."""
+    """M x = A x for a dense matrix with positive semidefinite symmetric part
+    (a ``BlockCirculant`` is refused: its resolvent would need a dense solve)."""
 
     def __init__(self, matrix):
+        if isinstance(matrix, BlockCirculant):
+            raise ValueError("LinearMonotoneOracle takes a dense matrix, not a BlockCirculant")
         a = as_operator(matrix, square=True)
-        eigs = np.linalg.eigvalsh(0.5 * (a + a.T))  # eigs[0] is the smallest
+        eigs = form_eigenvalues(a)(0.0, 0.5, 0.0)  # eigs[0] is the smallest
         if eigs[0] < -max(SPECTRAL_SLACK, ROUNDING_SLACK * max(-eigs[0], eigs[-1])):
             raise ValueError(
                 f"matrix is not monotone: smallest symmetric eigenvalue {eigs[0]:.6e}"
@@ -155,13 +161,7 @@ class SubspaceRestrictedOracle(ResolventOracle):
         self.dim = subspace.ambient_dim
 
     def resolvent(self, lam, x):
-        try:
-            return sum_prox(self.fn, self.subspace, lam, x)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"subspace-restricted resolvent stalled at step {float(lam):.3e}: {err}",
-                residual=err.residual, iterations=err.iterations,
-            ) from err
+        return sum_prox(self.fn, self.subspace, lam, x)
 
 
 def minty_point(oracle, mu):

@@ -12,7 +12,8 @@ factor of its linear part, the step norm
     rho(gamma) = ||I + gamma Q||,
     rho(gamma)^2 = max_{||y|| = 1} 1 + 2 gamma <y, Qy> + gamma^2 ||Qy||^2,
 
-the top eigenvalue of I + gamma (Q + Q^T) + gamma^2 Q^T Q.  Each term of
+the top eigenvalue of I + gamma (Q + Q^T) + gamma^2 Q^T Q, which
+``hilbert.form_eigenvalues`` gives at (1, gamma, gamma^2).  Each term of
 the maximum is a convex quadratic in gamma, so rho^2 is convex.  With
 lam = -max_sym_eigenvalue(Q) and beta = ||Q||, every term is at most
 1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
@@ -36,8 +37,10 @@ iterate whose bound ||F(y) - y|| / (1 - rho) is within tol max(1, ||y||)
 and returns that y with that bound: no further resolvent call.  The bound
 holds for any d, but it measures F through the oracle: an oracle that
 solves an inner problem (``sum_prox`` stops on a relative change of 1e-11)
-adds an error that the bound does not see.  ``verify_touch`` and
-``cycles.verify_identities`` recompute the bound from Q at the same step.
+adds an error that the bound does not see, and an oracle that stalls
+(ConvergenceError) stops ``touch`` with the steps it completed and its last
+residual.  ``verify_touch`` and ``cycles.verify_identities`` recompute the
+bound from Q at the same step.
 
 ``fixed_point`` solves y in M(T y) for an invertible T as ``touch`` on
 Q = T^{-1}: substituting y = T x turns <x, Tx> + lam ||Tx||^2 <= 0 into
@@ -51,9 +54,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .hilbert import (
-    BlockCirculant,
     as_operator,
     as_vector,
+    form_eigenvalues,
     invert,
     max_sym_eigenvalue,
     operator_norm,
@@ -102,16 +105,6 @@ class VerificationReport:
     passed: bool
 
 
-def _squared_step_norm(q):
-    # gamma -> rho(gamma)^2, the top eigenvalue of I + gamma (Q + Q^T) + gamma^2 Q^T Q;
-    # a circulant is normal, so that is max_k |1 + gamma s_k|^2 over its spectrum
-    if isinstance(q, BlockCirculant):
-        re, mod2 = q.spectrum.real, np.abs(q.spectrum) ** 2
-        return lambda g: float(np.max(1.0 + 2.0 * g * re + g * g * mod2))
-    eye, sym2, gram = np.eye(q.shape[0]), q + q.T, q.T @ q
-    return lambda g: float(np.linalg.eigvalsh(eye + g * sym2 + g * g * gram)[-1])
-
-
 def _step(q, lam):
     # (gamma, rho(gamma)) at the step that minimises rho, for
     # lam = -max_sym_eigenvalue(Q).  rho >= |1 - gamma lam|, so a step that
@@ -120,7 +113,8 @@ def _step(q, lam):
     if not lam > 0.0:
         return math.nan, math.inf
     gamma0 = lam / operator_norm(q) ** 2
-    square = _squared_step_norm(q)
+    form = form_eigenvalues(q)
+    square = lambda g: float(form(1.0, g, g * g).max())  # rho(g)^2
     best = square(gamma0)
     radius = math.sqrt(max(0.0, best)) / lam
     lo, hi = 1.0 / lam - radius, 1.0 / lam + radius
@@ -163,8 +157,9 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     ValueError names rho where even that rounds to 1 (lam tiny against
     ||Q||).  Iterates y -> F(y) and returns the first y whose certificate
     ||F(y) - y|| / (1 - rho) is within tol * max(1, ||y||), with that
-    certificate as ``error_bound``; hitting the cap, or a non-finite step,
-    raises ConvergenceError with the last residual ||F(y) - y||.
+    certificate as ``error_bound``; hitting the cap, a non-finite step or a
+    ConvergenceError of the oracle raises ConvergenceError with the steps
+    completed and the last residual ||F(y) - y|| (NaN before the first).
     """
     q = as_operator(q, square=True)
     if q.shape[0] != oracle.dim:
@@ -180,8 +175,16 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
             f"no step contracts: the smallest rho = ||I + gamma Q|| is {rho:.6e}")
 
     y = np.zeros(oracle.dim) if start is None else as_vector(start, dim=oracle.dim)
+    residual = math.nan
     for it in range(int(max_iter) + 1):
-        y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
+        try:
+            y_next = oracle.resolvent(gamma, y + gamma * (q @ y))
+        except ConvergenceError as err:
+            raise ConvergenceError(
+                f"touch stalled in the resolvent after {it} iterations "
+                f"(gamma {gamma:.3e}): {err}",
+                residual=residual, iterations=it,
+            ) from err
         diff = y_next - y
         residual = math.sqrt(diff.dot(diff))
         if not math.isfinite(residual):

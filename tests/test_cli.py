@@ -22,6 +22,7 @@ from montouch import (
     classical_cycle,
     cli,
     generalized_cycle,
+    monotone,
     verify_identities,
 )
 from montouch.errors import ConvergenceError, ParseError
@@ -264,6 +265,13 @@ def test_parse_matrix_rejects_bad_input(tmp_path, doc, fragment):
     assert fragment in str(err.value)
 
 
+def test_check_unmonotone_refuses_a_non_finite_matrix(capsys, tmp_path):
+    path = write_json(tmp_path, "m.json", {"matrix": [[-1, math.inf], [0, -1]]})
+    code, out, err = run_cli(capsys, "check-unmonotone", "--matrix", path, "--mu", "0.5")
+    assert code == 1 and out == ""
+    assert err == "error: matrix: operator entries must be finite\n"
+
+
 # ---------------------------------------------------------------- commands
 
 def test_check_unmonotone_passes_at_half(capsys):
@@ -502,6 +510,22 @@ def test_verify_passes_on_unbounded_strip(capsys, tmp_path, bound):
     assert verify_identities(problem, solution).passed
 
 
+@pytest.mark.parametrize("spanning", [[[1.0, 0.0], [2.0, 0.0]], None])
+def test_verify_on_an_affine_line_and_a_ball(capsys, tmp_path, spanning):
+    # the line y = 3 (spanned by two parallel vectors, rank 1) and the unit
+    # ball at the origin are 2 apart along y; without spanning the affine set
+    # is the point (0, 3), and the gap is the same
+    line = {"type": "affine", "basepoint": [0.0, 3.0]}
+    if spanning is not None:
+        line["spanning"] = spanning
+    path = write_json(tmp_path, "affine.json", {"base_dimension": 2, "sets": [
+        line, {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}]})
+    code, out, _ = run_cli(capsys, "verify", "--problem", path)
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True
+    assert np.allclose(doc["outputs"]["d"], [0.0, -2.0, 0.0, 2.0], atol=1e-8)
+
+
 def test_pass_means_certified_distance(capsys, tmp_path):
     # five balls in R^2 contract at rho = 0.8: touch stops once its error
     # bound is within tol max(1, ||d||), so at tolerance 1e-6 it passes and
@@ -545,6 +569,36 @@ def test_exit_2_on_iteration_cap(capsys, tmp_path):
     assert doc["error"] == "convergence"
     assert doc["iterations"] == 2
     assert doc["residual"] > 0
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_exit_2_reports_the_outer_step_of_a_stalled_resolvent(capsys, monkeypatch,
+                                                              tmp_path, k):
+    # sum_prox stalls from the k-th resolvent call on: the exit-2 document
+    # reports the k - 1 outer steps completed and the last outer residual
+    # (none before the first step), not the inner cap, and keeps its message
+    real, calls = monotone.sum_prox, []
+
+    def stall(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= k:
+            raise ConvergenceError("sum_prox did not converge within 3 iterations",
+                                   residual=0.25, iterations=3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monotone, "sum_prox", stall)
+    code, out, _ = run_cli(capsys, "cycle", "--problem", THREE_BALL)
+    doc = json.loads(out)
+    assert code == 2 and doc["iterations"] == k - 1
+    assert doc["message"].endswith("sum_prox did not converge within 3 iterations")
+    monkeypatch.undo()
+    if k == 1:
+        assert doc["residual"] is None
+    else:
+        # the residual of step k - 2, the last one a run capped there measures
+        code, capped, _ = run_cli(capsys, "cycle", "--problem", with_solver(
+            tmp_path, THREE_BALL, max_iterations=k - 2))
+        assert code == 2 and doc["residual"] == json.loads(capped)["residual"] > 0
 
 
 def test_json_text_writes_nonfinite_as_null():

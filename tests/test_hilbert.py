@@ -17,7 +17,7 @@ from montouch import (
     orthonormal_range,
     project_onto,
 )
-from montouch.hilbert import as_positive, scaled_tol
+from montouch.hilbert import BlockCirculant, as_positive, scaled_tol
 
 SRC = Path(__file__).parent.parent / "src" / "montouch"
 
@@ -44,6 +44,19 @@ def test_one_owner_for_tolerances_and_positivity():
         text = path.read_text(encoding="utf-8")
         assert "max(1.0," not in text, path.name
         assert "must be positive and finite" not in text, path.name
+
+
+def test_one_owner_for_spectral_facts():
+    # every eigenvalue and singular value montouch reads, and every read of a
+    # circulant's spectrum, is computed in hilbert (form_eigenvalues,
+    # operator_norm, orthonormal_range, invert), so no module keeps its own
+    # dense / BlockCirculant branch
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "hilbert.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for word in ("eigvalsh", "svd(", ".spectrum"):
+            assert word not in text, (path.name, word)
 
 
 def test_scaled_tol_is_tol_times_max_one_size():
@@ -154,6 +167,22 @@ def test_cauchy_schwarz_sampled():
         x = rng.normal(size=n)
         y = rng.normal(size=n)
         assert abs(float(x @ y)) <= np.linalg.norm(x) * np.linalg.norm(y) + 1e-12
+
+
+def test_invert_refuses_a_circulant_by_name():
+    # a circulant used to reach numpy and fail there with LinAlgError
+    q = BlockCirculant([-0.5, -0.5 + 0.5j, -0.5 - 0.5j], 2)
+    with pytest.raises(ValueError, match="not a BlockCirculant"):
+        invert(q)
+
+
+def test_form_eigenvalues_refuses_an_overflowing_gram():
+    # 0 * inf would turn every entry of the form into NaN, and LAPACK returns
+    # finite garbage for a NaN matrix
+    with pytest.raises(ValueError, match="overflows"):
+        max_sym_eigenvalue(1e200 * np.eye(2))
+    with pytest.raises(ValueError, match="overflows"):
+        max_sym_eigenvalue(BlockCirculant([1e200, -1e200], 1))
 
 
 def test_invert_values():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from montouch import (
+    Ball,
     Box,
     ConvergenceError,
     Indicator,
@@ -16,15 +17,22 @@ from montouch import (
     SubdifferentialOracle,
     SubspaceRestrictedOracle,
     Support,
+    build_problem,
     is_mu_unmonotone,
     max_sym_eigenvalue,
     minty_point,
     modulus_from_lambda,
+    operator_norm,
     orthonormal_range,
     sum_prox,
 )
+from montouch.hilbert import BlockCirculant
 from montouch.monotone import certified_lambda
-from helpers import random_gate_matrix, random_monotone_matrix, random_prox_function
+from helpers import dense, random_gate_matrix, random_monotone_matrix, random_prox_function
+
+# the cycle operator Q = T^{-1} of tests/data/three_ball.json, a BlockCirculant
+CYCLE_Q = build_problem([Ball([0.0, 0.0], 1.0), Ball([6.0, 0.0], 1.0),
+                         Ball([3.0, 5.0], 1.0)]).q
 
 DIAGONAL = orthonormal_range(np.array([[1.0], [1.0]]) @ np.array([[1.0, 1.0]]))
 ANTIDIAGONAL = orthonormal_range(np.array([[1.0], [-1.0]]) @ np.array([[1.0, -1.0]]))
@@ -45,6 +53,14 @@ def test_subdifferential_resolvent_is_prox():
 def test_linear_monotone_resolvent():
     oracle = LinearMonotoneOracle(np.diag([1.0, 3.0]))
     assert np.allclose(oracle.resolvent(1.0, [2.0, 4.0]), [1.0, 1.0])
+
+
+def test_linear_monotone_refuses_a_circulant():
+    # -Q is monotone (sym = I/2), so the gate alone would pass it, but the
+    # resolvent is a dense solve
+    minus_q = BlockCirculant(-CYCLE_Q.spectrum, CYCLE_Q.block_dim)
+    with pytest.raises(ValueError, match="not a BlockCirculant"):
+        LinearMonotoneOracle(minus_q)
 
 
 def test_linear_monotone_rejects_nonmonotone():
@@ -133,6 +149,20 @@ def test_is_mu_unmonotone_frozen_values():
     assert not holds and cert.max_eig == pytest.approx(9e-8, rel=1e-6)
 
 
+def test_is_mu_unmonotone_certifies_the_cycle_operator():
+    # closed form on the circulant: sym(Q) = -I/2, so the exact modulus is
+    # 0.5 / (1 + ||Q||^2), which modulus_from_lambda gives
+    mu = modulus_from_lambda(CYCLE_Q, 0.5)
+    assert mu == 0.5 / (1.0 + operator_norm(CYCLE_Q) ** 2)
+    holds, cert = is_mu_unmonotone(CYCLE_Q, mu)
+    assert holds, cert
+    holds, reference = is_mu_unmonotone(dense(CYCLE_Q), mu)
+    assert holds and abs(cert.max_eig - reference.max_eig) <= 1e-12
+    assert cert.operator_norm == pytest.approx(reference.operator_norm, rel=1e-12)
+    holds, cert = is_mu_unmonotone(CYCLE_Q, mu * (1.0 + 1e-6))
+    assert not holds, cert
+
+
 def test_is_mu_unmonotone_rejects_bad_mu():
     with pytest.raises(ValueError):
         is_mu_unmonotone(-np.eye(2), 0.0)
@@ -211,6 +241,19 @@ def test_certified_lambda_gate_is_unit_free(s):
         assert certified_lambda(q, s / 2) == pytest.approx(s / 2, rel=1e-12)
         with pytest.raises(PreconditionError):
             certified_lambda(q, s / 2 * (1.0 + 1e-6))
+
+
+def test_certified_lambda_slack_is_sized_by_sym_q():
+    # sym(Q) has eigenvalues -1e6 (x7) and -1, so lam = 1 is exact; the top
+    # eigenvalue rounds by about 1e-10, which a slack of 1e-12 * max(1, lam)
+    # alone refused in 41 of these 100 draws
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        u = _orthogonal(rng, 8)
+        q = u @ np.diag([-1e6] * 7 + [-1.0]) @ u.T
+        assert certified_lambda(q, 1.0) == pytest.approx(1.0, rel=1e-8)
+        with pytest.raises(PreconditionError):
+            certified_lambda(q, 1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("s", [1e3, 1e6])
