@@ -32,7 +32,8 @@ import numpy as np
 
 from .hilbert import Subspace, as_positive, as_vector, scaled_tol
 
-# Distance tolerance for indicator evaluation / membership checks.
+# Distance tolerance, scaled by max(1, ||x||), for indicator evaluation and
+# membership checks.
 MEMBERSHIP_TOL = 1e-9
 # Tolerance, scaled by max(1, ||u||), deciding whether a direction u is
 # support-admissible for an unbounded set (halfspace ray, affine
@@ -62,12 +63,14 @@ class ConvexSet:
         raise NotImplementedError
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        """Membership up to Euclidean distance ``tol``."""
+        """Membership up to Euclidean distance tol * max(1, ||x||): ``tol`` is
+        relative, so the verdict does not depend on where the set sits."""
         return self._contains(as_vector(x, dim=self.ambient_dim), tol)
 
     def _contains(self, v, tol):
         """Kernel of ``contains`` on a validated vector of length ambient_dim."""
-        return float(np.linalg.norm(v - self._project(v))) <= tol
+        gap = v - self._project(v)
+        return math.sqrt(gap.dot(gap)) <= scaled_tol(tol, math.sqrt(v.dot(v)))
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,7 @@ class ProxFunction:
 
 @dataclass(frozen=True)
 class Indicator(ProxFunction):
-    """0 on the set (membership tolerance 1e-9), +inf elsewhere."""
+    """0 on the set (within distance 1e-9 max(1, ||x||)), +inf elsewhere."""
 
     set: ConvexSet
 

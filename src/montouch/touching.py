@@ -19,13 +19,19 @@ lam = -max_sym_eigenvalue(Q) and beta = ||Q||, every term is at most
 1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
 sqrt(1 - lam^2 / beta^2); taking y on top of sym(Q) gives
 rho(gamma) >= |1 - gamma lam|, so no step contracts when lam <= 0.  The
-step, like rho, comes from Q alone: a golden section search within
-rho(lam / beta^2) / lam of 1 / lam minimises rho, and lam / beta^2 stays
-unless the search clearly beats it.  That step is already the minimiser
-where every eigenvalue of sym(Q) is -lam: on Q = -lam I, where rho = 0 and
-one step is exact, and on the generalized cycle's normal Q, where
-rho = cos(pi/N).  On a non-normal Q the minimiser can lie well outside
-(0, 2 lam / beta^2) and contract much faster.
+step, like rho, comes from Q alone: a golden section search minimises rho
+in 8 eigen-solves, and gamma0 = lam / beta^2 stays unless the search
+clearly beats it.  Two lower bounds on rho bracket every step that does:
+rho(gamma) <= rho0 = rho(gamma0) needs
+
+    rho0 >= |1 - gamma lam|  (y on top of sym(Q)), so gamma >= (1 - rho0) / lam,
+    rho0 >= gamma beta - 1   (reverse triangle),   so gamma <= (1 + rho0) / beta,
+
+a bracket about beta / lam times narrower than 1 / lam +- rho0 / lam.
+gamma0 is already the minimiser where every eigenvalue of sym(Q) is -lam:
+on Q = -lam I, where rho = 0 and one step is exact, and on the generalized
+cycle's normal Q, where rho = cos(pi/N).  On a non-normal Q the minimiser
+can lie well outside (0, 2 lam / beta^2) and contract much faster.
 
 The contraction certifies any candidate d: since F(d*) = d*,
 
@@ -67,11 +73,14 @@ from .monotone import certified_lambda
 # A certificate passes within PASS_TOL max(1, ||d||).
 PASS_TOL = 1e-6
 # Symmetric eigen-solves the step search spends, counting the one at
-# lam / beta^2; the other 15 shrink the search interval about 500-fold.
-_STEP_SEARCH_SOLVES = 16
+# gamma0 = lam / beta^2; the other 7 shrink the bracket [(1 - rho0) / lam,
+# (1 + rho0) / beta], outside which |1 - gamma lam| or gamma beta - 1
+# already exceeds rho0 = rho(gamma0), about 18-fold.
+_STEP_SEARCH_SOLVES = 8
 # rho^2 a searched step must save over lam / beta^2 to replace it.
 _STEP_GAIN = 1e-6
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Share of the larger side of the bracket at which the search probes.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -107,29 +116,37 @@ class VerificationReport:
 
 def _step(q, lam):
     # (gamma, rho(gamma)) at the step that minimises rho, for
-    # lam = -max_sym_eigenvalue(Q).  rho >= |1 - gamma lam|, so a step that
-    # beats gamma0 = lam / beta^2 lies within rho(gamma0) / lam of 1 / lam,
-    # and with lam <= 0 no step contracts.  Golden section on the convex rho^2.
+    # lam = -max_sym_eigenvalue(Q) and beta = ||Q||; with lam <= 0 no step
+    # contracts.  A step that beats gamma0 = lam / beta^2 has
+    # rho <= rho0 = rho(gamma0), and rho is at least
+    #   |1 - gamma lam|  (y on top of sym(Q)), so gamma >= (1 - rho0) / lam = lo,
+    #   gamma beta - 1   (reverse triangle),   so gamma <= (1 + rho0) / beta = hi.
+    # Golden section on the convex rho^2 starts from the triple
+    # (lo, gamma0, hi), whose ends have rho >= rho0, and probes the larger
+    # side of the best step so far: 8 eigen-solves, counting gamma0's.
     if not lam > 0.0:
         return math.nan, math.inf
-    gamma0 = lam / operator_norm(q) ** 2
+    beta = operator_norm(q)
+    gamma0 = lam / beta ** 2
     form = form_eigenvalues(q)
     square = lambda g: float(form(1.0, g, g * g).max())  # rho(g)^2
     best = square(gamma0)
-    radius = math.sqrt(max(0.0, best)) / lam
-    lo, hi = 1.0 / lam - radius, 1.0 / lam + radius
-    a, b = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fa, fb = square(a), square(b)
-    for _ in range(_STEP_SEARCH_SOLVES - 3):
-        if fa <= fb:
-            hi, b, fb = b, a, fa
-            a = hi - _INVPHI * (hi - lo)
-            fa = square(a)
+    rho0 = math.sqrt(max(0.0, best))
+    lo, hi = (1.0 - rho0) / lam, (1.0 + rho0) / beta
+    gamma, value = gamma0, best
+    for _ in range(_STEP_SEARCH_SOLVES - 1):
+        if hi - gamma > gamma - lo:
+            probe = gamma + _GOLDEN * (hi - gamma)
         else:
-            lo, a, fa = a, b, fb
-            b = lo + _INVPHI * (hi - lo)
-            fb = square(b)
-    gamma, value = (a, fa) if fa <= fb else (b, fb)
+            probe = gamma - _GOLDEN * (gamma - lo)
+        found = square(probe)
+        if found < value:
+            lo, hi = (gamma, hi) if probe > gamma else (lo, gamma)
+            gamma, value = probe, found
+        elif probe > gamma:
+            hi = probe
+        else:
+            lo = probe
     if not value < best - _STEP_GAIN:
         gamma, value = gamma0, best
     # clamped at 0 so that rounding keeps rho = 0 where I + gamma Q vanishes

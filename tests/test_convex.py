@@ -281,6 +281,26 @@ def test_projection_is_nonexpansive():
             <= np.linalg.norm(x - y) + 1e-12
 
 
+@pytest.mark.parametrize("kind", ["ball", "halfspace"])
+def test_membership_is_scale_free(kind):
+    # far from the origin a projection is exact only to rounding of its
+    # size: with centres of size 1e8, an absolute 1e-9 refused the
+    # projection of a point within 1e3 in 21 (ball) and 16 (halfspace) of
+    # these 200 draws
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        center = 1e8 * rng.normal(size=dim)
+        if kind == "ball":
+            c = Ball(center, float(1e3 * rng.random()))
+        else:
+            normal = rng.normal(size=dim)
+            c = Halfspace(normal, float(normal @ center))
+        px = c.project(center + 1e3 * rng.normal(size=dim))
+        assert c.contains(px)
+        assert Indicator(c).value(px) == 0.0
+
+
 def test_support_is_sup_over_members():
     rng = np.random.default_rng(31)
     for _ in range(50):

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from montouch import (
+    Ball,
     Box,
     ConvergenceError,
     Indicator,
@@ -17,10 +18,12 @@ from montouch import (
     SingularOperatorError,
     SubdifferentialOracle,
     fixed_point,
+    max_sym_eigenvalue,
     operator_norm,
     touch,
     verify_touch,
 )
+from montouch.hilbert import form_eigenvalues
 from helpers import (
     forward_backward_step_norms,
     gate_matrix_with_norm,
@@ -253,6 +256,59 @@ def _mixed_touch_problem(seed, n_parts):
     return SubdifferentialOracle(f), gate_matrix_with_norm(rng, f.ambient_dim, 0.5, 3.0)
 
 
+@settings(deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=513)
+def test_step_search_bracket_holds_the_minimiser(seed):
+    # rho >= |1 - gamma lam| and rho >= gamma beta - 1 put every step that
+    # beats gamma0 = lam / beta^2 in [(1 - rho0) / lam, (1 + rho0) / beta],
+    # so a dense grid's minimiser of rho over (0, 2 / lam) lies there, and
+    # the 8-solve search within it comes near the grid's 1 - rho: within 2%,
+    # where seed 513 (98.6%) is the worst of seeds 0-1999
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 13))
+    q = gate_matrix_with_norm(rng, dim, lam=0.5, norm=float(rng.uniform(0.6, 6.0)))
+    lam, beta = -max_sym_eigenvalue(q), operator_norm(q)
+    gamma0 = lam / beta ** 2
+    # rho0 as the search computes it, so that res.rho <= rho0 holds exactly
+    form = form_eigenvalues(q)
+    rho0 = math.sqrt(max(0.0, float(form(1.0, gamma0, gamma0 * gamma0).max())))
+    grid = np.sort(np.append(np.linspace(0.0, 2.0 / lam, 2001)[1:-1], gamma0))
+    rhos = np.linalg.svd(np.eye(dim) + grid[:, None, None] * q, compute_uv=False)[:, 0]
+    k = int(np.argmin(rhos))
+    assert (1.0 - rho0) / lam - 1e-12 <= grid[k] <= (1.0 + rho0) / beta + 1e-12
+    res = touch(SubdifferentialOracle(Indicator(Ball(np.zeros(dim), 1.0))), q, 0.5)
+    assert 1.0 - res.rho >= 0.98 * (1.0 - rhos[k])
+    assert res.rho <= rho0
+
+
+def _counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_dense_touch_spends_nine_eigen_solves_and_one_svd(monkeypatch):
+    # the lam gate's eigen-solve, then the step search's 8 (gamma0 and 7
+    # probes); ||Q|| is the one SVD
+    counts = {"eigvalsh": 0, "svd": 0}
+    oracle, q = _mixed_touch_problem(5, 4)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counted(counts, "eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "svd", _counted(counts, "svd", np.linalg.svd))
+    touch(oracle, q, 0.5)
+    assert counts == {"eigvalsh": 9, "svd": 1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_touch_recomputes_the_bound_exactly(seed):
+    # both derive the step from q by the same deterministic search and
+    # measure ||F(d) - d|| at it, so the bounds agree bit for bit
+    oracle, q = _mixed_touch_problem(seed, 5)
+    res = touch(oracle, q, 0.5)
+    assert verify_touch(oracle, q, res).residuals["error_bound"] == res.error_bound
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=300)
 @given(mantissas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
        exponent=st.integers(-150, 150))
@@ -288,16 +344,9 @@ def test_touch_calls_no_norm_or_clip_per_block(monkeypatch):
     # numpy's wrappers: a whole solve calls neither np.linalg.norm nor
     # np.clip, whatever the number of parts and iterations.
     counts = {"norm": 0, "clip": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     problems = [_mixed_touch_problem(11, 3), _mixed_touch_problem(12, 8)]
-    monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
-    monkeypatch.setattr(np, "clip", counted("clip", np.clip))
+    monkeypatch.setattr(np.linalg, "norm", _counted(counts, "norm", np.linalg.norm))
+    monkeypatch.setattr(np, "clip", _counted(counts, "clip", np.clip))
     iterations = set()
     for oracle, q in problems:
         counts.update(norm=0, clip=0)
