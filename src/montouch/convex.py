@@ -14,8 +14,10 @@ kernel, ``_project(v)``, ``_support(v)``, ``_prox(lam, v)`` or
 ``_value(v)``.  A kernel takes a validated float64 vector of the block's
 length and a checked step, and checks neither again.  Composites run
 kernels on what they validated: ``SeparableSum`` calls each part's
-``_prox`` or ``_value`` on a view of its block, and ``Indicator`` and
-``Support`` call their set's ``_project``, ``_support`` or ``_contains``.
+``_value`` on a view of its block, and its ``_prox`` on that view or, for
+the indicators and support functions of plain boxes, once per kind on all
+their coordinates, as one merged box; ``Indicator`` and ``Support`` call
+their set's ``_project``, ``_support`` or ``_contains``.
 A new set or function implements the kernel, not the public method.
 
 Kernels on small blocks avoid numpy's Python-level wrappers: the ball's
@@ -332,7 +334,11 @@ class ScaledSquare(ProxFunction):
 
 @dataclass(frozen=True)
 class SeparableSum(ProxFunction):
-    """f(x) = sum_i f_i(x_i) over consecutive coordinate blocks."""
+    """f(x) = sum_i f_i(x_i) over consecutive coordinate blocks.
+
+    The prox gathers the indicator and the support parts of plain boxes into
+    one box each, since a product of boxes is a box, and clamps each group
+    at once: the same elementwise operations as the parts' own kernels."""
 
     parts: tuple
 
@@ -341,15 +347,32 @@ class SeparableSum(ProxFunction):
         if not parts:
             raise ValueError("separable sum needs at least one part")
         object.__setattr__(self, "parts", parts)
-        blocks, start = [], 0
-        for part in parts:
+        blocks, prox_blocks, boxes, start = [], [], {Indicator: [], Support: []}, 0
+        for i, part in enumerate(parts):
+            if not isinstance(part, ProxFunction):
+                raise TypeError(f"parts[{i}] is not a ProxFunction")
             end = start + int(part.ambient_dim)
             blocks.append((part, slice(start, end)))
+            group = boxes.get(type(part))
+            if group is not None and type(part.set) is Box:
+                group.append(blocks[-1])
+            else:
+                prox_blocks.append(blocks[-1])
             start = end
+        for kind, group in boxes.items():
+            if group:
+                box = Box(np.concatenate([part.set.lower for part, _ in group]),
+                          np.concatenate([part.set.upper for part, _ in group]))
+                index = np.concatenate([np.arange(b.start, b.stop) for _, b in group])
+                prox_blocks.append((kind(box), index))
         object.__setattr__(self, "_blocks", tuple(blocks))
+        object.__setattr__(self, "_prox_blocks", tuple(prox_blocks))
 
     # (part, slice of its coordinate block), built once
     _blocks: tuple = field(init=False, repr=False, compare=False, default=())
+    # the same with the box parts of each kind merged into one part on an
+    # index array; the prox writes every block of the output once
+    _prox_blocks: tuple = field(init=False, repr=False, compare=False, default=())
 
     @property
     def ambient_dim(self):
@@ -364,7 +387,10 @@ class SeparableSum(ProxFunction):
         return total
 
     def _prox(self, lam, v):
-        return np.concatenate([part._prox(lam, v[block]) for part, block in self._blocks])
+        z = np.empty_like(v)
+        for part, block in self._prox_blocks:
+            z[block] = part._prox(lam, v[block])
+        return z
 
     def conjugate(self):
         return SeparableSum(tuple(p.conjugate() for p in self.parts))

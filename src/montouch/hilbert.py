@@ -6,6 +6,7 @@ arrays or ``BlockCirculant`` maps; the validators below are the single entry
 point for shape, finiteness and sign checks; ``scaled_tol`` owns tolerances.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,10 @@ RANK_TOL = 1e-10
 COND_TOL = 1e-12
 # Orthonormality defect allowed in a stored basis.
 ORTHO_TOL = 1e-12
+# Shift above the top eigenvalue of the inverse-iteration step in
+# ``_Form.top``, relative to the form's norm: far above eigvalsh's rounding,
+# so the shifted matrix stays nonsingular.
+_TOP_SHIFT = 1e-10
 
 
 def as_vector(x, dim=None):
@@ -82,7 +87,8 @@ def as_operator(a, square=False):
 
 def form_eigenvalues(a):
     """Eigenvalues of alpha I + beta (A + A^T) + delta A^T A as a function of (alpha, beta,
-    delta): ascending for a dense A, one per DFT mode for a ``BlockCirculant``."""
+    delta): ascending for a dense A, one per DFT mode for a ``BlockCirculant``.  Its
+    ``top(alpha, beta, delta)`` also gives <y, (A + A^T) y> and ||A y||^2 at a top y."""
     with np.errstate(over="ignore"):  # an overflowing A^T A is refused below
         if isinstance(a, BlockCirculant):
             eye, sym2, gram = 1.0, 2.0 * a.spectrum.real, np.abs(a.spectrum) ** 2
@@ -91,8 +97,39 @@ def form_eigenvalues(a):
             eye, sym2, gram = np.eye(m.shape[0]), m + m.T, m.T @ m
     if not np.isfinite(gram).all():
         raise ValueError("operator too large: A^T A overflows")
-    solve = np.linalg.eigvalsh if gram.ndim == 2 else np.asarray
-    return lambda alpha, beta, delta: solve(alpha * eye + beta * sym2 + delta * gram)
+    return _Form(eye, sym2, gram)
+
+
+class _Form:
+    """alpha I + beta (A + A^T) + delta A^T A with A + A^T and A^T A built once."""
+
+    def __init__(self, eye, sym2, gram):
+        self.eye, self.sym2, self.gram = eye, sym2, gram
+
+    @functools.cached_property
+    def _start(self):
+        # a fixed random vector: a structured A (a dense circulant, say) can
+        # leave a structured one, such as all ones, orthogonal to the top
+        return np.random.default_rng(0).standard_normal(self.gram.shape[0])
+
+    def __call__(self, alpha, beta, delta):
+        matrix = alpha * self.eye + beta * self.sym2 + delta * self.gram
+        return np.linalg.eigvalsh(matrix) if self.gram.ndim == 2 else matrix
+
+    def top(self, alpha, beta, delta):
+        """(largest eigenvalue, (<y, (A + A^T) y>, ||A y||^2)) for a unit y on
+        top of the form: a circulant's top mode, or for a dense A one step of
+        inverse iteration from ``_start``, shifted just above the top.
+        Callers may use any unit y; a y nearer the top eigenvector is tighter."""
+        matrix = alpha * self.eye + beta * self.sym2 + delta * self.gram
+        if self.gram.ndim == 1:
+            k = int(np.argmax(matrix))
+            return float(matrix[k]), (float(self.sym2[k]), float(self.gram[k]))
+        eigs = np.linalg.eigvalsh(matrix)
+        shift = eigs[-1] + scaled_tol(_TOP_SHIFT, max(-eigs[0], eigs[-1]))
+        y = np.linalg.solve(shift * self.eye - matrix, self._start)
+        y /= math.sqrt(y.dot(y))
+        return float(eigs[-1]), (float(y @ self.sym2 @ y), float(y @ self.gram @ y))
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,13 @@ def certified_lambda(q, lam):
     """
     m = as_operator(q, square=True)
     lam = as_positive(lam, "lam")
-    eigs = form_eigenvalues(m)(0.0, 0.5, 0.0)
+    return _lam_gate(form_eigenvalues(m), lam)
+
+
+def _lam_gate(form, lam):
+    # certified_lambda on Q's built form_eigenvalues and a checked lam, so
+    # that touch shares one form between this gate and its step search
+    eigs = form(0.0, 0.5, 0.0)
     low, top = float(eigs.min()), float(eigs.max())
     # the slack forgives rounding, never a top eigenvalue >= 0
     slack = max(scaled_tol(SPECTRAL_SLACK, lam), ROUNDING_SLACK * max(-low, top))

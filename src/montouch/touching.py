@@ -13,16 +13,25 @@ factor of its linear part, the step norm
     rho(gamma)^2 = max_{||y|| = 1} 1 + 2 gamma <y, Qy> + gamma^2 ||Qy||^2,
 
 the top eigenvalue of I + gamma (Q + Q^T) + gamma^2 Q^T Q, which
-``hilbert.form_eigenvalues`` gives at (1, gamma, gamma^2).  Each term of
-the maximum is a convex quadratic in gamma, so rho^2 is convex.  With
-lam = -max_sym_eigenvalue(Q) and beta = ||Q||, every term is at most
-1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
+``hilbert.form_eigenvalues`` gives at (1, gamma, gamma^2).  With
+lam = -max_sym_eigenvalue(Q) and beta = ||Q||, every term of the maximum is
+at most 1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
 sqrt(1 - lam^2 / beta^2); taking y on top of sym(Q) gives
 rho(gamma) >= |1 - gamma lam|, so no step contracts when lam <= 0.  The
-step, like rho, comes from Q alone: a golden section search minimises rho
-in 8 eigen-solves, and gamma0 = lam / beta^2 stays unless the search
-clearly beats it.  Two lower bounds on rho bracket every step that does:
-rho(gamma) <= rho0 = rho(gamma0) needs
+step, like rho, comes from Q alone, by a cutting-plane search (Kelley
+1960) with exact quadratic cuts: for every unit y,
+
+    f_y(gamma) = 1 + 2 gamma <y, Qy> + gamma^2 ||Qy||^2 <= rho(gamma)^2,
+
+with equality at gamma when y is a top eigenvector of the form there.  So
+a probe, one eigen-solve for rho^2 and one shifted solve for its top
+vector, adds a cut that touches rho^2 at the probe; the cuts' maximum lies
+below rho^2, and its minimum over the bracket below, in closed form, is
+the next probe and a certified lower bound on the best rho^2.  The search
+starts at gamma0 = lam / beta^2, stops once its best rho^2 is within
+_STEP_GAP (1 - rho^2) of that bound or after _STEP_SEARCH_SOLVES probes,
+and keeps gamma0 unless it clearly beats it.  Two lower bounds on rho
+bracket every step that does: rho(gamma) <= rho0 = rho(gamma0) needs
 
     rho0 >= |1 - gamma lam|  (y on top of sym(Q)), so gamma >= (1 - rho0) / lam,
     rho0 >= gamma beta - 1   (reverse triangle),   so gamma <= (1 + rho0) / beta,
@@ -30,8 +39,10 @@ rho(gamma) <= rho0 = rho(gamma0) needs
 a bracket about beta / lam times narrower than 1 / lam +- rho0 / lam.
 gamma0 is already the minimiser where every eigenvalue of sym(Q) is -lam:
 on Q = -lam I, where rho = 0 and one step is exact, and on the generalized
-cycle's normal Q, where rho = cos(pi/N).  On a non-normal Q the minimiser
-can lie well outside (0, 2 lam / beta^2) and contract much faster.
+cycle's normal Q, where rho = cos(pi/N); there gamma0's own cut has its
+vertex at gamma0, and the search stops after that one probe.  On a
+non-normal Q the minimiser can lie well outside (0, 2 lam / beta^2) and
+contract much faster.
 
 The contraction certifies any candidate d: since F(d*) = d*,
 
@@ -61,26 +72,28 @@ import numpy as np
 from .errors import ConvergenceError
 from .hilbert import (
     as_operator,
+    as_positive,
     as_vector,
     form_eigenvalues,
     invert,
-    max_sym_eigenvalue,
     operator_norm,
     scaled_tol,
 )
-from .monotone import certified_lambda
+from .monotone import _lam_gate
 
 # A certificate passes within PASS_TOL max(1, ||d||).
 PASS_TOL = 1e-6
-# Symmetric eigen-solves the step search spends, counting the one at
-# gamma0 = lam / beta^2; the other 7 shrink the bracket [(1 - rho0) / lam,
-# (1 + rho0) / beta], outside which |1 - gamma lam| or gamma beta - 1
-# already exceeds rho0 = rho(gamma0), about 18-fold.
+# Most probes of the step search, each one symmetric eigen-solve and one
+# shifted solve, counting the one at gamma0 = lam / beta^2; the others lie in
+# the bracket [(1 - rho0) / lam, (1 + rho0) / beta], outside which
+# |1 - gamma lam| or gamma beta - 1 already exceeds rho0 = rho(gamma0).
 _STEP_SEARCH_SOLVES = 8
+# The search stops once its best rho^2 is within _STEP_GAP (1 - rho^2) of the
+# cuts' lower bound: 1 - rho is then within about _STEP_GAP (1 + rho) / (2 rho)
+# of the optimum's, 0.5% where rho is near 1.
+_STEP_GAP = 0.005
 # rho^2 a searched step must save over lam / beta^2 to replace it.
 _STEP_GAIN = 1e-6
-# Share of the larger side of the bracket at which the search probes.
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -114,39 +127,49 @@ class VerificationReport:
     passed: bool
 
 
-def _step(q, lam):
-    # (gamma, rho(gamma)) at the step that minimises rho, for
-    # lam = -max_sym_eigenvalue(Q) and beta = ||Q||; with lam <= 0 no step
-    # contracts.  A step that beats gamma0 = lam / beta^2 has
+def _lowest_cut(cuts, lo, hi):
+    # (g, m) with m = min over [lo, hi] of the cuts' maximum
+    # max_i 1 + a_i g + b_i g^2, for the pairs (a_i, b_i) in ``cuts``; it is
+    # attained at an end, at a vertex -a_i / (2 b_i) or where two cuts cross,
+    # at g = (a_j - a_i) / (b_i - b_j), since all take the value 1 at g = 0
+    points = [lo, hi]
+    for i, (a, b) in enumerate(cuts):
+        points.append(-a / (2.0 * b))
+        points.extend((c - a) / (b - d) for c, d in cuts[:i] if d != b)
+    lowest = math.inf, math.inf
+    for g in points:
+        g = min(max(g, lo), hi)
+        value = max(1.0 + g * (a + g * b) for a, b in cuts)
+        if value < lowest[1]:
+            lowest = g, value
+    return lowest
+
+
+def _step(q, form, lam):
+    # (gamma, rho(gamma)) at the step that minimises rho, for Q's
+    # form_eigenvalues, lam = -max_sym_eigenvalue(Q) and beta = ||Q||; with
+    # lam <= 0 no step contracts.  A step that beats gamma0 = lam / beta^2 has
     # rho <= rho0 = rho(gamma0), and rho is at least
     #   |1 - gamma lam|  (y on top of sym(Q)), so gamma >= (1 - rho0) / lam = lo,
     #   gamma beta - 1   (reverse triangle),   so gamma <= (1 + rho0) / beta = hi.
-    # Golden section on the convex rho^2 starts from the triple
-    # (lo, gamma0, hi), whose ends have rho >= rho0, and probes the larger
-    # side of the best step so far: 8 eigen-solves, counting gamma0's.
+    # Each probe adds its top vector's cut (module docstring); the next probe
+    # minimises the cuts' maximum on [lo, hi], a lower bound on rho^2 there.
     if not lam > 0.0:
         return math.nan, math.inf
     beta = operator_norm(q)
     gamma0 = lam / beta ** 2
-    form = form_eigenvalues(q)
-    square = lambda g: float(form(1.0, g, g * g).max())  # rho(g)^2
-    best = square(gamma0)
+    best, cut = form.top(1.0, gamma0, gamma0 * gamma0)
     rho0 = math.sqrt(max(0.0, best))
     lo, hi = (1.0 - rho0) / lam, (1.0 + rho0) / beta
-    gamma, value = gamma0, best
+    cuts, gamma, value = [cut], gamma0, best
     for _ in range(_STEP_SEARCH_SOLVES - 1):
-        if hi - gamma > gamma - lo:
-            probe = gamma + _GOLDEN * (hi - gamma)
-        else:
-            probe = gamma - _GOLDEN * (gamma - lo)
-        found = square(probe)
+        probe, floor = _lowest_cut(cuts, lo, hi)
+        if value - floor <= _STEP_GAP * (1.0 - value):
+            break
+        found, cut = form.top(1.0, probe, probe * probe)
+        cuts.append(cut)
         if found < value:
-            lo, hi = (gamma, hi) if probe > gamma else (lo, gamma)
             gamma, value = probe, found
-        elif probe > gamma:
-            hi = probe
-        else:
-            lo = probe
     if not value < best - _STEP_GAIN:
         gamma, value = gamma0, best
     # clamped at 0 so that rounding keeps rho = 0 where I + gamma Q vanishes
@@ -156,7 +179,8 @@ def _step(q, lam):
 def _certificate(oracle, q, d):
     # ||F(d) - d|| and the bound ||F(d) - d|| / (1 - rho) on ||d - d*||, at
     # touch's step; where no step contracts (rho >= 1) nothing is certified
-    gamma, rho = _step(q, -max_sym_eigenvalue(q))
+    form = form_eigenvalues(q)
+    gamma, rho = _step(q, form, -float(form(0.0, 0.5, 0.0).max()))
     if not rho < 1.0:
         return math.inf, math.inf
     # e = Q d is in M d  iff  J_{gamma M}(d + gamma e) == d
@@ -185,8 +209,9 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
         )
     if int(max_iter) < 1:
         raise ValueError("max_iter must be at least 1")
-    lam = certified_lambda(q, lam)
-    gamma, rho = _step(q, lam)
+    lam = as_positive(lam, "lam")
+    form = form_eigenvalues(q)
+    gamma, rho = _step(q, form, _lam_gate(form, lam))
     if not rho < 1.0:
         raise ValueError(
             f"no step contracts: the smallest rho = ||I + gamma Q|| is {rho:.6e}")

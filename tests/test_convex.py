@@ -370,6 +370,69 @@ def test_separable_sum_blockwise():
     assert isinstance(conj.parts[0], Support)
 
 
+def _part(rng, kind):
+    dim = int(rng.integers(1, 5))
+    if kind == "box":
+        box = random_box(rng, dim)
+        lower = np.where(rng.random(dim) < 0.3, -math.inf, box.lower)
+        upper = np.where(rng.random(dim) < 0.3, math.inf, box.upper)
+        return (Support if rng.integers(2) else Indicator)(Box(lower, upper))
+    if kind == "square":
+        return ScaledSquare(float(rng.uniform(0.1, 10.0)), dim)
+    make = random_ball if kind == "ball" else random_halfspace
+    return (Support if rng.integers(2) else Indicator)(make(rng, dim))
+
+
+@st.composite
+def box_merging_sums(draw):
+    """A separable sum of one to eight parts: indicators and support
+    functions of boxes with some infinite bounds, of balls and of halfspaces,
+    and scaled squares; the "none" family holds no box part and the "only"
+    family nothing else."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["mixed", "none", "only"]))
+    kinds = {"mixed": ["box", "ball", "halfspace", "square"],
+             "none": ["ball", "halfspace", "square"], "only": ["box"]}[family]
+    return SeparableSum(tuple(_part(rng, kinds[int(rng.integers(len(kinds)))])
+                              for _ in range(draw(st.integers(1, 8)))))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(f=box_merging_sums(), exponent=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_merged_box_prox_is_bitwise_the_parts_kernels(f, exponent, seed):
+    # the sum clamps all its box parts of a kind at once; that runs the same
+    # elementwise operations as each part's own kernel, so bit for bit
+    lam = 10.0 ** exponent
+    x = 3.0 * np.random.default_rng(seed).normal(size=f.ambient_dim)
+    ends = np.cumsum([0] + [part.ambient_dim for part in f.parts])
+    blockwise = np.concatenate([part.prox(lam, x[a:b])
+                                for part, a, b in zip(f.parts, ends, ends[1:])])
+    assert f.prox(lam, x).tobytes() == blockwise.tobytes()
+
+
+def test_separable_sum_clamps_once_per_kind_of_box_part(monkeypatch):
+    # three indicator and three support parts of boxes among balls and a
+    # square: one prox clamps twice, once per kind, over all their coordinates
+    box = Box([-1.0, 0.0], [1.0, math.inf])
+    f = SeparableSum((Indicator(box), Support(Ball([0.0], 1.0)), Support(box),
+                      Indicator(box), ScaledSquare(2.0, 3), Support(box), Indicator(box),
+                      Support(box), Indicator(Ball([1.0, 1.0], 0.5))))
+    sizes = []
+    project = Box._project
+    monkeypatch.setattr(Box, "_project", lambda b, v: sizes.append(v.size) or project(b, v))
+    f.prox(0.5, np.ones(f.ambient_dim))
+    assert sizes == [6, 6]
+
+
+def test_separable_sum_refuses_a_part_that_is_not_a_prox_function():
+    # a set where its indicator belongs, or a plain number, is refused at
+    # construction, with its index, not at the first prox
+    with pytest.raises(TypeError, match=r"^parts\[1\] is not a ProxFunction$"):
+        SeparableSum((Indicator(Box([0.0], [1.0])), Ball([0.0], 1.0)))
+    with pytest.raises(TypeError, match=r"^parts\[0\] is not a ProxFunction$"):
+        SeparableSum((3.0,))
+
+
 def test_conjugate_pairs_roundtrip():
     ind = Indicator(Ball([1.0], 2.0))
     assert isinstance(ind.conjugate(), Support)
