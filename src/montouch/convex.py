@@ -14,17 +14,21 @@ kernel, ``_project(v)``, ``_support(v)``, ``_prox(lam, v)`` or
 ``_value(v)``.  A kernel takes a validated float64 vector of the block's
 length and a checked step, and checks neither again.  Composites run
 kernels on what they validated: ``SeparableSum`` calls each part's
-``_value`` on a view of its block, and its ``_prox`` on that view or, for
-the indicators and support functions of plain boxes, once per kind on all
-their coordinates, as one merged box; ``Indicator`` and ``Support`` call
-their set's ``_project``, ``_support`` or ``_contains``.
+``_value`` on a view of its block, and its ``_prox`` on that view, except
+for groups: the indicators and the support functions of plain boxes and
+plain balls, grouped by (kind, set class, block length), run once per group
+of two or more on all its coordinates, as one merged box or one stack of
+ball rows; a group of one keeps its part.  ``Indicator`` and ``Support``
+call their set's ``_project``, ``_support`` or ``_contains``.
 A new set or function implements the kernel, not the public method.
 
 Kernels on small blocks avoid numpy's Python-level wrappers: the ball's
 projection takes its norm as ``math.sqrt(gap.dot(gap))`` and the box clamps
 with ``np.minimum`` / ``np.maximum``.  On validated input both are bit for
 bit ``np.linalg.norm`` (which is the square root of the same dot product
-for a 1-d float64 vector) and ``np.clip``.
+for a 1-d float64 vector) and ``np.clip``.  Stacked ball rows take each
+row's norm from one batched (1, m) @ (m, 1) matmul, bit for bit the same
+dot product.
 """
 
 import math
@@ -227,6 +231,42 @@ class Singleton(ConvexSet):
         return float(self.point @ w)
 
 
+def _merged_box(boxes):
+    """The product of checked boxes as one Box, built without re-checking
+    its bounds."""
+    box = object.__new__(Box)
+    object.__setattr__(box, "lower", np.concatenate([b.lower for b in boxes]))
+    object.__setattr__(box, "upper", np.concatenate([b.upper for b in boxes]))
+    return box
+
+
+class _BallRows(ConvexSet):
+    """The product of k checked balls in R^m, one ball per row of a (k, m)
+    stack, as a set in R^(k m); it checks nothing and defines only
+    ``_project``, which is bit for bit each ball's own on its block."""
+
+    def __init__(self, balls):
+        self._centers = np.array([b.center for b in balls])[:, None, :]
+        self.ambient_dim = self._centers.size
+        self._radii = np.array([b.radius for b in balls])[:, None, None]
+
+    def _project(self, v):
+        rows = v.reshape(self._centers.shape)
+        gap = rows - self._centers
+        # one (1, m) @ (m, 1) product per row: bit for bit that row's
+        # gap.dot(gap), where an einsum or a row sum may round differently
+        dist = np.sqrt(gap @ gap.transpose(0, 2, 1))
+        out = dist > self._radii
+        # divide only on the rows outside, where dist > radius >= 0
+        scale = np.divide(self._radii, dist, out=np.zeros(dist.shape), where=out)
+        return np.where(out, self._centers + scale * gap, rows).ravel()
+
+
+# set classes whose indicator and support parts SeparableSum stacks, with
+# the builder of each class's product set
+_STACKED = {Box: _merged_box, Ball: _BallRows}
+
+
 class ProxFunction:
     """Proper closed convex function with an exact prox and conjugate.
 
@@ -336,9 +376,13 @@ class ScaledSquare(ProxFunction):
 class SeparableSum(ProxFunction):
     """f(x) = sum_i f_i(x_i) over consecutive coordinate blocks.
 
-    The prox gathers the indicator and the support parts of plain boxes into
-    one box each, since a product of boxes is a box, and clamps each group
-    at once: the same elementwise operations as the parts' own kernels."""
+    The prox groups the indicator and the support parts of plain boxes and
+    of plain balls by (kind, set class, block length).  Each group of two or
+    more runs as one part on the product of its sets: one clamp of a merged
+    box (a product of boxes is a box), or one projection onto row-stacked
+    balls.  Both run the same floating-point operations as the parts' own
+    kernels, so the answer is bit for bit theirs.  A group of one keeps its
+    part, since one stacked row is slower than ``Ball._project``."""
 
     parts: tuple
 
@@ -347,31 +391,36 @@ class SeparableSum(ProxFunction):
         if not parts:
             raise ValueError("separable sum needs at least one part")
         object.__setattr__(self, "parts", parts)
-        blocks, prox_blocks, boxes, start = [], [], {Indicator: [], Support: []}, 0
+        blocks, groups, start = [], {}, 0
         for i, part in enumerate(parts):
             if not isinstance(part, ProxFunction):
                 raise TypeError(f"parts[{i}] is not a ProxFunction")
             end = start + int(part.ambient_dim)
             blocks.append((part, slice(start, end)))
-            group = boxes.get(type(part))
-            if group is not None and type(part.set) is Box:
-                group.append(blocks[-1])
-            else:
-                prox_blocks.append(blocks[-1])
+            stacks = type(part) in (Indicator, Support) and type(part.set) in _STACKED
+            key = (type(part), type(part.set), end - start) if stacks else i
+            groups.setdefault(key, []).append(blocks[-1])
             start = end
-        for kind, group in boxes.items():
-            if group:
-                box = Box(np.concatenate([part.set.lower for part, _ in group]),
-                          np.concatenate([part.set.upper for part, _ in group]))
-                index = np.concatenate([np.arange(b.start, b.stop) for _, b in group])
-                prox_blocks.append((kind(box), index))
+        prox_blocks = []
+        for key, group in groups.items():
+            if len(group) == 1:
+                prox_blocks.append(group[0])
+                continue
+            kind, cls, size = key
+            spans = [b for _, b in group]
+            if all(a.stop == b.start for a, b in zip(spans, spans[1:])):
+                index = slice(spans[0].start, spans[-1].stop)
+            else:
+                index = (np.array([b.start for b in spans])[:, None] + np.arange(size)).ravel()
+            prox_blocks.append((kind(_STACKED[cls]([part.set for part, _ in group])), index))
         object.__setattr__(self, "_blocks", tuple(blocks))
         object.__setattr__(self, "_prox_blocks", tuple(prox_blocks))
 
     # (part, slice of its coordinate block), built once
     _blocks: tuple = field(init=False, repr=False, compare=False, default=())
-    # the same with the box parts of each kind merged into one part on an
-    # index array; the prox writes every block of the output once
+    # the same with each group of two or more stackable parts as one part on
+    # a slice or an index array; the prox writes every block of the output
+    # once
     _prox_blocks: tuple = field(init=False, repr=False, compare=False, default=())
 
     @property

@@ -370,8 +370,7 @@ def test_separable_sum_blockwise():
     assert isinstance(conj.parts[0], Support)
 
 
-def _part(rng, kind):
-    dim = int(rng.integers(1, 5))
+def _part(rng, kind, dim):
     if kind == "box":
         box = random_box(rng, dim)
         lower = np.where(rng.random(dim) < 0.3, -math.inf, box.lower)
@@ -379,35 +378,77 @@ def _part(rng, kind):
         return (Support if rng.integers(2) else Indicator)(Box(lower, upper))
     if kind == "square":
         return ScaledSquare(float(rng.uniform(0.1, 10.0)), dim)
-    make = random_ball if kind == "ball" else random_halfspace
-    return (Support if rng.integers(2) else Indicator)(make(rng, dim))
+    if kind == "ball":
+        ball = random_ball(rng, dim)
+        if rng.random() < 0.2:
+            ball = Ball(ball.center, 0.0)
+        return (Support if rng.integers(2) else Indicator)(ball)
+    return (Support if rng.integers(2) else Indicator)(random_halfspace(rng, dim))
 
 
 @st.composite
-def box_merging_sums(draw):
-    """A separable sum of one to eight parts: indicators and support
-    functions of boxes with some infinite bounds, of balls and of halfspaces,
-    and scaled squares; the "none" family holds no box part and the "only"
-    family nothing else."""
+def stacking_sums(draw):
+    """A separable sum of one to twelve parts on blocks of two lengths in 1
+    to 5: indicators and support functions of boxes with some infinite
+    bounds, of balls (a fifth of radius 0) and of halfspaces, and scaled
+    squares.  The "none" family holds no box or ball part, "boxes" and
+    "balls" nothing else.  Also where the point of each ball block lies:
+    at its centre, inside, outside or anywhere; "mixed" draws per block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    family = draw(st.sampled_from(["mixed", "none", "only"]))
-    kinds = {"mixed": ["box", "ball", "halfspace", "square"],
-             "none": ["ball", "halfspace", "square"], "only": ["box"]}[family]
-    return SeparableSum(tuple(_part(rng, kinds[int(rng.integers(len(kinds)))])
-                              for _ in range(draw(st.integers(1, 8)))))
+    family = draw(st.sampled_from(["mixed", "none", "boxes", "balls"]))
+    kinds = {"mixed": ["box", "ball", "halfspace", "square"], "none": ["halfspace", "square"],
+             "boxes": ["box"], "balls": ["ball"]}[family]
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))
+    parts = tuple(_part(rng, kinds[int(rng.integers(len(kinds)))], dims[int(rng.integers(2))])
+                  for _ in range(draw(st.integers(1, 12))))
+    where = draw(st.sampled_from(["centre", "inside", "outside", "anywhere", "mixed"]))
+    places = ["centre", "inside", "outside", "anywhere"]
+    return SeparableSum(parts), [where if where != "mixed" else places[int(rng.integers(4))]
+                                 for _ in parts]
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=300)
-@given(f=box_merging_sums(), exponent=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
-def test_merged_box_prox_is_bitwise_the_parts_kernels(f, exponent, seed):
-    # the sum clamps all its box parts of a kind at once; that runs the same
-    # elementwise operations as each part's own kernel, so bit for bit
-    lam = 10.0 ** exponent
-    x = 3.0 * np.random.default_rng(seed).normal(size=f.ambient_dim)
-    ends = np.cumsum([0] + [part.ambient_dim for part in f.parts])
-    blockwise = np.concatenate([part.prox(lam, x[a:b])
-                                for part, a, b in zip(f.parts, ends, ends[1:])])
-    assert f.prox(lam, x).tobytes() == blockwise.tobytes()
+def _point_for(part, where, lam, rng):
+    """A block of the prox argument: for a ball part, one whose projected
+    point (x for an indicator, x / lam for a support function) lies
+    ``where`` with respect to the ball."""
+    x = 3.0 * rng.normal(size=part.ambient_dim)
+    ball = getattr(part, "set", None)
+    if not isinstance(ball, Ball) or where == "anywhere":
+        return x
+    u = x / np.linalg.norm(x)
+    point = {"centre": ball.center,
+             "inside": ball.center + 0.5 * ball.radius * u,
+             "outside": ball.center + (ball.radius + 1.0 + rng.random()) * u}[where]
+    return lam * point if isinstance(part, Support) else point.copy()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(case=stacking_sums(),
+       lam=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e) | st.integers(-9, 9).map(lambda k: 2.0 ** k),
+       seed=st.integers(0, 2**32 - 1))
+def test_merged_box_prox_is_bitwise_the_parts_kernels(case, lam, seed):
+    # the sum clamps the box parts of a kind and block length at once and
+    # projects its ball parts of a kind and block length onto row-stacked
+    # balls; both run the same floating-point operations as each part's own
+    # kernel, so bit for bit.  A power-of-two step puts x / lam exactly at
+    # a centre.
+    f, where = case
+    rng = np.random.default_rng(seed)
+    blocks = [_point_for(part, w, lam, rng) for part, w in zip(f.parts, where)]
+    blockwise = np.concatenate([part.prox(lam, x) for part, x in zip(f.parts, blocks)])
+    assert f.prox(lam, np.concatenate(blocks)).tobytes() == blockwise.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 150, 300])
+def test_batched_row_dots_are_bitwise_the_row_dot(m):
+    # the stacked ball projection takes each row's squared distance from one
+    # batched (1, m) @ (m, 1) matmul; it is bit for bit Ball._project's
+    # gap.dot(gap) only while numpy computes both the same way
+    rng = np.random.default_rng(m)
+    for k in range(1, 16):
+        gap = rng.normal(size=(k, 1, m)) * np.logspace(-100, 100, k)[:, None, None]
+        rows = gap @ gap.transpose(0, 2, 1)
+        assert rows.ravel().tobytes() == np.array([g.dot(g) for g in gap[:, 0]]).tobytes()
 
 
 def test_separable_sum_clamps_once_per_kind_of_box_part(monkeypatch):
@@ -422,6 +463,55 @@ def test_separable_sum_clamps_once_per_kind_of_box_part(monkeypatch):
     monkeypatch.setattr(Box, "_project", lambda b, v: sizes.append(v.size) or project(b, v))
     f.prox(0.5, np.ones(f.ambient_dim))
     assert sizes == [6, 6]
+
+
+def _counted_projections(monkeypatch):
+    """(class name, block size) of every Ball and stacked-ball projection."""
+    calls = []
+    for cls in (Ball, montouch.convex._BallRows):
+        def counted(s, v, name=cls.__name__, project=cls._project):
+            calls.append((name, v.size))
+            return project(s, v)
+        monkeypatch.setattr(cls, "_project", counted)
+    return calls
+
+
+def test_separable_sum_projects_once_per_group_of_ball_parts(monkeypatch):
+    # six support parts of balls in R^3 among boxes and a square: one prox
+    # projects once onto the six stacked balls and never onto one ball
+    box = Box([-1.0, 0.0], [1.0, math.inf])
+    balls = [Ball([float(i), -1.0, 2.0], 0.5 * i) for i in range(6)]
+    f = SeparableSum((Support(balls[0]), Indicator(box), Support(balls[1]), Support(balls[2]),
+                      ScaledSquare(2.0, 3), Support(balls[3]), Support(balls[4]),
+                      Indicator(box), Support(balls[5])))
+    calls = _counted_projections(monkeypatch)
+    f.prox(0.5, np.linspace(-3.0, 3.0, f.ambient_dim))
+    assert calls == [("_BallRows", 18)]
+
+
+def test_a_lone_ball_part_and_a_ball_subclass_keep_the_ball_kernel(monkeypatch):
+    # a group of one (one part per kind and block length) is not stacked,
+    # nor is a subclass of Ball, whose projection may differ
+    class Shell(Ball):
+        pass
+
+    f = SeparableSum((Support(Ball([0.0, 1.0, 2.0], 1.0)), Indicator(Ball([1.0, 1.0, 1.0], 0.5)),
+                      Support(Ball([3.0, 0.0], 2.0)), Support(Shell([1.0, 1.0], 1.0)),
+                      Support(Shell([0.0, 1.0], 1.0))))
+    calls = _counted_projections(monkeypatch)
+    f.prox(0.5, np.linspace(-3.0, 3.0, f.ambient_dim))
+    assert calls == [("Ball", 3), ("Ball", 3), ("Ball", 2), ("Ball", 2), ("Ball", 2)]
+
+
+def test_a_contiguous_group_is_gathered_through_a_slice():
+    # a cycle's support sum is one run of blocks: its prox reads and writes
+    # views, where interleaved parts need index arrays
+    balls = tuple(Support(Ball([float(i), 1.0], 1.0)) for i in range(3))
+    (_, block), = SeparableSum(balls)._prox_blocks
+    assert block == slice(0, 6)
+    split = SeparableSum(balls[:2] + (Indicator(Box([0.0], [1.0])),) + balls[2:])
+    (_, index), _ = split._prox_blocks
+    assert isinstance(index, np.ndarray) and index.tolist() == [0, 1, 2, 3, 5, 6]
 
 
 def test_separable_sum_refuses_a_part_that_is_not_a_prox_function():
