@@ -301,10 +301,6 @@ class ProxFunction:
         """The Fenchel conjugate, again as a ProxFunction."""
         raise NotImplementedError
 
-    def conjugate_value(self, u):
-        """f*(u) = sup_x <x, u> - f(x)."""
-        return self.conjugate().value(u)
-
 
 @dataclass(frozen=True)
 class Indicator(ProxFunction):

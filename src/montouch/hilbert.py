@@ -72,7 +72,8 @@ class BlockCirculant:
 
 
 def as_operator(a, square=False):
-    """Coerce to a finite 2-d float array, optionally requiring squareness."""
+    """Coerce to a finite 2-d float array, optionally requiring a square,
+    non-empty one."""
     if isinstance(a, BlockCirculant):
         return a
     m = np.asarray(a, dtype=float)
@@ -80,21 +81,21 @@ def as_operator(a, square=False):
         raise ValueError(f"expected a 2-d operator, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite")
-    if square and m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square operator, got shape {m.shape}")
+    if square and (m.shape[0] != m.shape[1] or m.size == 0):
+        raise ValueError(f"expected a square, non-empty operator, got shape {m.shape}")
     return m
 
 
 def form_eigenvalues(a):
     """Eigenvalues of alpha I + beta (A + A^T) + delta A^T A as a function of (alpha, beta,
-    delta): ascending for a dense A, one per DFT mode for a ``BlockCirculant``.  Its
-    ``top(alpha, beta, delta)`` also gives <y, (A + A^T) y> and ||A y||^2 at a top y."""
+    delta) for an A that ``as_operator(a, square=True)`` has checked: ascending for a dense
+    A, one per DFT mode for a ``BlockCirculant``; ||A||^2 is the top at (0, 0, 1).
+    ``top(gamma)`` reads (1, gamma, gamma^2) with <y, (A + A^T) y> and ||A y||^2 at a top y."""
     with np.errstate(over="ignore"):  # an overflowing A^T A is refused below
         if isinstance(a, BlockCirculant):
             eye, sym2, gram = 1.0, 2.0 * a.spectrum.real, np.abs(a.spectrum) ** 2
         else:
-            m = as_operator(a, square=True)
-            eye, sym2, gram = np.eye(m.shape[0]), m + m.T, m.T @ m
+            eye, sym2, gram = np.eye(a.shape[0]), a + a.T, a.T @ a
     if not np.isfinite(gram).all():
         raise ValueError("operator too large: A^T A overflows")
     return _Form(eye, sym2, gram)
@@ -116,12 +117,12 @@ class _Form:
         matrix = alpha * self.eye + beta * self.sym2 + delta * self.gram
         return np.linalg.eigvalsh(matrix) if self.gram.ndim == 2 else matrix
 
-    def top(self, alpha, beta, delta):
-        """(largest eigenvalue, (<y, (A + A^T) y>, ||A y||^2)) for a unit y on
-        top of the form: a circulant's top mode, or for a dense A one step of
-        inverse iteration from ``_start``, shifted just above the top.
-        Callers may use any unit y; a y nearer the top eigenvector is tighter."""
-        matrix = alpha * self.eye + beta * self.sym2 + delta * self.gram
+    def top(self, gamma):
+        """(||I + gamma A||^2, (<y, (A + A^T) y>, ||A y||^2)) for a unit y on top
+        of the form at (1, gamma, gamma^2): a circulant's top mode, or for a dense
+        A one step of inverse iteration from ``_start``, shifted just above the
+        top.  Callers may use any unit y; a y nearer the top eigenvector is tighter."""
+        matrix = self.eye + gamma * self.sym2 + gamma * gamma * self.gram
         if self.gram.ndim == 1:
             k = int(np.argmax(matrix))
             return float(matrix[k]), (float(self.sym2[k]), float(self.gram[k]))
@@ -196,7 +197,7 @@ def operator_norm(a):
 
 def max_sym_eigenvalue(a):
     """Largest eigenvalue of the symmetric part (A + A^T) / 2."""
-    return float(form_eigenvalues(a)(0.0, 0.5, 0.0).max())
+    return float(form_eigenvalues(as_operator(a, square=True))(0.0, 0.5, 0.0).max())
 
 
 def invert(a):
@@ -208,8 +209,6 @@ def invert(a):
     if isinstance(a, BlockCirculant):
         raise ValueError("invert takes a dense matrix, not a BlockCirculant")
     m = as_operator(a, square=True)
-    if m.shape[0] == 0:
-        return m.copy()
     s = np.linalg.svd(m, compute_uv=False)
     ratio = float(s.min() / s.max()) if s.max() > 0.0 else 0.0
     if ratio <= COND_TOL:

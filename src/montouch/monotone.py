@@ -10,7 +10,8 @@ needs (``certified_lambda``) and converts that gate into the
 anti-monotonicity modulus of the paper's hypothesis
 (``modulus_from_lambda``).  Each gate reads one spectrum of
 ``hilbert.form_eigenvalues``: the certificate its top at (mu, 1/2, mu), the
-lam gate and the linear oracle both ends of sym(Q) at (0, 1/2, 0).
+lam gate and the linear oracle both ends of sym(Q) at (0, 1/2, 0), and
+||Q||^2 is its top at (0, 0, 1).  Each validates Q once and builds one form.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from .convex import ProxFunction
 from .errors import ConvergenceError, PreconditionError
 from .hilbert import (BlockCirculant, as_operator, as_positive, as_vector,
-                      form_eigenvalues, operator_norm, scaled_tol)
+                      form_eigenvalues, scaled_tol)
 
 # Each spectral gate forgives the larger of a floor (SPECTRAL_SLACK * max(1, lam),
 # SPECTRAL_SLACK or UNMONOTONE_SLACK) and ROUNDING_SLACK times a bound on the norm
@@ -62,8 +63,9 @@ def is_mu_unmonotone(q, mu):
     """
     m = as_operator(q, square=True)
     mu = as_positive(mu, "mu")
-    max_eig = float(form_eigenvalues(m)(mu, 0.5, mu).max()) if m.shape[0] else 0.0
-    cert = UnmonotoneCertificate(mu=mu, max_eig=max_eig, operator_norm=operator_norm(m))
+    form = form_eigenvalues(m)
+    cert = UnmonotoneCertificate(mu=mu, max_eig=float(form(mu, 0.5, mu).max()),
+                                 operator_norm=math.sqrt(form(0.0, 0.0, 1.0).max()))
     return cert.valid, cert
 
 
@@ -100,8 +102,10 @@ def modulus_from_lambda(q, lam):
     """Anti-monotonicity modulus lam / (1 + ||Q||^2) for a map satisfying
     <y, Qy> <= -lam ||y||^2, which ``certified_lambda`` checks."""
     m = as_operator(q, square=True)
-    certified_lambda(m, lam)
-    return float(lam) / (1.0 + operator_norm(m) ** 2)
+    lam = as_positive(lam, "lam")
+    form = form_eigenvalues(m)
+    _lam_gate(form, lam)
+    return lam / (1.0 + float(form(0.0, 0.0, 1.0).max()))
 
 
 class ResolventOracle:

@@ -14,8 +14,9 @@ factor of its linear part, the step norm
 
 the top eigenvalue of I + gamma (Q + Q^T) + gamma^2 Q^T Q, which
 ``hilbert.form_eigenvalues`` gives at (1, gamma, gamma^2).  With
-lam = -max_sym_eigenvalue(Q) and beta = ||Q||, every term of the maximum is
-at most 1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
+lam = -max_sym_eigenvalue(Q) and beta = ||Q||, whose square is the same
+form's top at (0, 0, 1), every term of the maximum is at most
+1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
 sqrt(1 - lam^2 / beta^2); taking y on top of sym(Q) gives
 rho(gamma) >= |1 - gamma lam|, so no step contracts when lam <= 0.  The
 step, like rho, comes from Q alone, by a cutting-plane search (Kelley
@@ -28,10 +29,10 @@ a probe, one eigen-solve for rho^2 and one shifted solve for its top
 vector, adds a cut that touches rho^2 at the probe; the cuts' maximum lies
 below rho^2, and its minimum over the bracket below, in closed form, is
 the next probe and a certified lower bound on the best rho^2.  The search
-starts at gamma0 = lam / beta^2, stops once its best rho^2 is within
-_STEP_GAP (1 - rho^2) of that bound or after _STEP_SEARCH_SOLVES probes,
-and keeps gamma0 unless it clearly beats it.  Two lower bounds on rho
-bracket every step that does: rho(gamma) <= rho0 = rho(gamma0) needs
+starts at gamma0 = lam / beta^2 and stops once its best rho^2 is within
+_STEP_GAP (1 - rho^2) of that bound or after _STEP_SEARCH_SOLVES probes.
+Two lower bounds on rho bracket every step that beats gamma0:
+rho(gamma) <= rho0 = rho(gamma0) needs
 
     rho0 >= |1 - gamma lam|  (y on top of sym(Q)), so gamma >= (1 - rho0) / lam,
     rho0 >= gamma beta - 1   (reverse triangle),   so gamma <= (1 + rho0) / beta,
@@ -76,7 +77,6 @@ from .hilbert import (
     as_vector,
     form_eigenvalues,
     invert,
-    operator_norm,
     scaled_tol,
 )
 from .monotone import _lam_gate
@@ -92,8 +92,6 @@ _STEP_SEARCH_SOLVES = 8
 # cuts' lower bound: 1 - rho is then within about _STEP_GAP (1 + rho) / (2 rho)
 # of the optimum's, 0.5% where rho is near 1.
 _STEP_GAP = 0.005
-# rho^2 a searched step must save over lam / beta^2 to replace it.
-_STEP_GAIN = 1e-6
 
 
 @dataclass
@@ -145,33 +143,32 @@ def _lowest_cut(cuts, lo, hi):
     return lowest
 
 
-def _step(q, form, lam):
+def _step(form, lam):
     # (gamma, rho(gamma)) at the step that minimises rho, for Q's
-    # form_eigenvalues, lam = -max_sym_eigenvalue(Q) and beta = ||Q||; with
-    # lam <= 0 no step contracts.  A step that beats gamma0 = lam / beta^2 has
-    # rho <= rho0 = rho(gamma0), and rho is at least
+    # form_eigenvalues, lam = -max_sym_eigenvalue(Q) and beta = ||Q||, whose
+    # square is the form's top at (0, 0, 1); with lam <= 0 no step contracts.
+    # A step that beats gamma0 = lam / beta^2 has rho <= rho0 = rho(gamma0),
+    # and rho is at least
     #   |1 - gamma lam|  (y on top of sym(Q)), so gamma >= (1 - rho0) / lam = lo,
     #   gamma beta - 1   (reverse triangle),   so gamma <= (1 + rho0) / beta = hi.
     # Each probe adds its top vector's cut (module docstring); the next probe
     # minimises the cuts' maximum on [lo, hi], a lower bound on rho^2 there.
     if not lam > 0.0:
         return math.nan, math.inf
-    beta = operator_norm(q)
-    gamma0 = lam / beta ** 2
-    best, cut = form.top(1.0, gamma0, gamma0 * gamma0)
+    beta2 = float(form(0.0, 0.0, 1.0).max())
+    gamma0 = lam / beta2
+    best, cut = form.top(gamma0)
     rho0 = math.sqrt(max(0.0, best))
-    lo, hi = (1.0 - rho0) / lam, (1.0 + rho0) / beta
+    lo, hi = (1.0 - rho0) / lam, (1.0 + rho0) / math.sqrt(beta2)
     cuts, gamma, value = [cut], gamma0, best
     for _ in range(_STEP_SEARCH_SOLVES - 1):
         probe, floor = _lowest_cut(cuts, lo, hi)
         if value - floor <= _STEP_GAP * (1.0 - value):
             break
-        found, cut = form.top(1.0, probe, probe * probe)
+        found, cut = form.top(probe)
         cuts.append(cut)
         if found < value:
             gamma, value = probe, found
-    if not value < best - _STEP_GAIN:
-        gamma, value = gamma0, best
     # clamped at 0 so that rounding keeps rho = 0 where I + gamma Q vanishes
     return gamma, math.sqrt(max(0.0, value))
 
@@ -180,7 +177,7 @@ def _certificate(oracle, q, d):
     # ||F(d) - d|| and the bound ||F(d) - d|| / (1 - rho) on ||d - d*||, at
     # touch's step; where no step contracts (rho >= 1) nothing is certified
     form = form_eigenvalues(q)
-    gamma, rho = _step(q, form, -float(form(0.0, 0.5, 0.0).max()))
+    gamma, rho = _step(form, -float(form(0.0, 0.5, 0.0).max()))
     if not rho < 1.0:
         return math.inf, math.inf
     # e = Q d is in M d  iff  J_{gamma M}(d + gamma e) == d
@@ -211,7 +208,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
         raise ValueError("max_iter must be at least 1")
     lam = as_positive(lam, "lam")
     form = form_eigenvalues(q)
-    gamma, rho = _step(q, form, _lam_gate(form, lam))
+    gamma, rho = _step(form, _lam_gate(form, lam))
     if not rho < 1.0:
         raise ValueError(
             f"no step contracts: the smallest rho = ||I + gamma Q|| is {rho:.6e}")

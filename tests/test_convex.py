@@ -357,7 +357,7 @@ def test_scaled_square_conjugate_matches_direct_sup():
             float(x @ u) - f.value(x)
             for x in [u / 2.0] + [rng.normal(size=3) for _ in range(100)]
         )
-        assert f.conjugate_value(u) == pytest.approx(direct, abs=1e-9)
+        assert f.conjugate().value(u) == pytest.approx(direct, abs=1e-9)
 
 
 def test_separable_sum_blockwise():
@@ -703,6 +703,6 @@ def test_fenchel_young_sampled():
         x = 2.0 * rng.normal(size=dim)
         u = 2.0 * rng.normal(size=dim)
         fx = f.value(x)
-        fu = f.conjugate_value(u)
+        fu = f.conjugate().value(u)
         if math.isfinite(fx) and math.isfinite(fu):
             assert fx + fu >= float(x @ u) - 1e-9

@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from montouch import (
+    Ball,
     SingularOperatorError,
     Subspace,
     as_operator,
     as_vector,
+    build_problem,
     invert,
     max_sym_eigenvalue,
     operator_norm,
     orthonormal_range,
     project_onto,
 )
-from montouch.hilbert import BlockCirculant, as_positive, scaled_tol
+from montouch.hilbert import BlockCirculant, as_positive, form_eigenvalues, scaled_tol
 
 SRC = Path(__file__).parent.parent / "src" / "montouch"
 
@@ -57,6 +59,9 @@ def test_one_owner_for_spectral_facts():
         text = path.read_text(encoding="utf-8")
         for word in ("eigvalsh", "svd(", ".spectrum"):
             assert word not in text, (path.name, word)
+    # touch and the gates read ||Q|| from the form they already build
+    for name in ("monotone.py", "touching.py"):
+        assert "operator_norm(" not in (SRC / name).read_text(encoding="utf-8"), name
 
 
 def test_scaled_tol_is_tol_times_max_one_size():
@@ -82,6 +87,32 @@ def test_as_operator_rejects_bad_shapes():
         as_operator([[1.0, np.inf]])
     with pytest.raises(ValueError):
         as_operator([[1.0, 2.0]], square=True)
+    # a square operator must act on something: 0 x 0 is refused, by shape
+    with pytest.raises(ValueError, match=r"non-empty operator, got shape \(0, 0\)$"):
+        as_operator(np.zeros((0, 0)), square=True)
+    assert as_operator(np.zeros((0, 0))).shape == (0, 0)
+
+
+def _circulant_norm_from_gram(q):
+    return math.sqrt(form_eigenvalues(q)(0.0, 0.0, 1.0).max())
+
+
+def test_circulant_norm_from_its_gram_is_bitwise_operator_norm():
+    # touch and the gates read ||Q|| as the square root of the form's top at
+    # (0, 0, 1), fl(max |s_k|^2); in binary64 sqrt(fl(x^2)) == x, so that is
+    # operator_norm's closed-form max |s_k| bit for bit, and a cycle's step
+    # and rho keep their closed form
+    for n in range(2, 65):
+        q = build_problem([Ball([3.0 * k, 0.0], 1.0) for k in range(n)]).q
+        assert _circulant_norm_from_gram(q) == operator_norm(q), n
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 65))
+        s = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-100, 100)
+        # s_k = conj(s_{-k}): the spectrum of a real circulant
+        s = 0.5 * (s + np.conj(np.roll(s[::-1], 1)))
+        q = BlockCirculant(s, int(rng.integers(1, 4)))
+        assert _circulant_norm_from_gram(q) == operator_norm(q), s
 
 
 def test_subspace_requires_orthonormal_basis():

@@ -19,7 +19,10 @@ from montouch import (
     SubdifferentialOracle,
     build_problem,
     fixed_point,
+    invert,
+    is_mu_unmonotone,
     max_sym_eigenvalue,
+    modulus_from_lambda,
     operator_norm,
     touch,
     verify_touch,
@@ -27,6 +30,7 @@ from montouch import (
 from montouch import hilbert, monotone, touching
 from montouch.cycles import touching_pair
 from montouch.hilbert import form_eigenvalues
+from montouch.monotone import certified_lambda
 from helpers import (
     dense,
     forward_backward_step_norms,
@@ -313,7 +317,7 @@ def test_step_search_stops_within_its_certified_gap(seed):
         mp.setattr(touching, "_lowest_cut", recorded)
         mp.setattr(np.linalg, "eigvalsh", _counted(probes, "eigvalsh", np.linalg.eigvalsh))
         res = touch(SubdifferentialOracle(Indicator(Ball(np.zeros(q.shape[0]), 1.0))), q, 0.5)
-    searched = probes["eigvalsh"] - 1  # the lam gate's solve is not a probe
+    searched = probes["eigvalsh"] - 2  # the lam gate's and ||Q||'s are not probes
     assert 1 <= searched <= touching._STEP_SEARCH_SOLVES
     if searched < touching._STEP_SEARCH_SOLVES:
         assert len(floors) == searched
@@ -327,30 +331,77 @@ def _counted(counts, name, fn):
     return wrapper
 
 
-def test_dense_touch_spends_one_svd_and_two_solves_per_probe(monkeypatch):
-    # the lam gate's eigen-solve, then one eigen-solve and one shifted solve
-    # for each of the step search's 6 probes on this problem (gamma0 and 5
-    # cuts' minimisers); ||Q|| is the one SVD
+def test_dense_touch_spends_no_svd_and_two_solves_per_probe(monkeypatch):
+    # the lam gate's eigen-solve and ||Q||^2's, the top of Q^T Q, then one
+    # eigen-solve and one shifted solve for each of the step search's 6
+    # probes on this problem (gamma0 and 5 cuts' minimisers); no SVD
     counts = {"eigvalsh": 0, "solve": 0, "svd": 0}
     oracle, q = _mixed_touch_problem(5, 4)
     for name in counts:
         monkeypatch.setattr(np.linalg, name, _counted(counts, name, getattr(np.linalg, name)))
     touch(oracle, q, 0.5)
-    assert counts == {"eigvalsh": 7, "solve": 6, "svd": 1}
+    assert counts == {"eigvalsh": 8, "solve": 6, "svd": 0}
 
 
-def test_touch_and_verify_touch_build_one_spectral_form(monkeypatch):
-    # the lam gate and the step search share one form_eigenvalues of Q, so
-    # Q + Q^T and Q^T Q are built once per touch and once per verify_touch
+def _entry_points(oracle, q, result):
+    # every public call that reads Q's spectrum, on a dense gate matrix Q
+    return {
+        "touch": lambda: touch(oracle, q, 0.5),
+        "verify_touch": lambda: verify_touch(oracle, q, result),
+        "certified_lambda": lambda: certified_lambda(q, 0.5),
+        "modulus_from_lambda": lambda: modulus_from_lambda(q, 0.5),
+        "is_mu_unmonotone": lambda: is_mu_unmonotone(q, 0.01),
+        "LinearMonotoneOracle": lambda: LinearMonotoneOracle(-q),
+        "max_sym_eigenvalue": lambda: max_sym_eigenvalue(q),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_entry_points(None, None, None)))
+def test_each_entry_point_validates_q_once_and_builds_one_form(monkeypatch, name):
+    # Q is checked once, at the boundary, and one form_eigenvalues of it
+    # answers every spectral fact the call needs: touch's lam gate and step
+    # search share it, and ||Q|| is read from it
     oracle, q = _mixed_touch_problem(5, 4)
-    calls = {"form": 0}
-    counted = _counted(calls, "form", hilbert.form_eigenvalues)
+    call = _entry_points(oracle, q, touch(oracle, q, 0.5))[name]
+    calls = {"as_operator": 0, "form": 0}
+    validate = _counted(calls, "as_operator", hilbert.as_operator)
+    build = _counted(calls, "form", hilbert.form_eigenvalues)
     for module in (hilbert, monotone, touching):
-        monkeypatch.setattr(module, "form_eigenvalues", counted)
-    res = touch(oracle, q, 0.5)
-    assert calls == {"form": 1}
-    verify_touch(oracle, q, res)
-    assert calls == {"form": 2}
+        monkeypatch.setattr(module, "as_operator", validate)
+        monkeypatch.setattr(module, "form_eigenvalues", build)
+    call()
+    assert calls == {"as_operator": 1, "form": 1}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(_entry_points(None, None, None)) + ["fixed_point", "invert"])
+def test_every_entry_point_refuses_an_empty_operator(name):
+    # one rule, in as_operator: a 0 x 0 Q (or T) is a ValueError naming its shape
+    empty = np.zeros((0, 0))
+    oracle = ShiftedAbsOracle()
+    calls = dict(_entry_points(oracle, empty, touch(oracle, [[-1.0]], 0.5)),
+                 fixed_point=lambda: fixed_point(oracle, empty, 0.5),
+                 invert=lambda: invert(empty))
+    with pytest.raises(ValueError, match=r"non-empty operator, got shape \(0, 0\)"):
+        calls[name]()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_q_keeps_gamma0_and_rho0_bit_for_bit(seed):
+    # Q = U (-lam I + K) U^T with K skew is normal and sym(Q) = -lam I, so
+    # gamma0 = lam / ||Q||^2 minimises rho = ||I + gamma Q||: the search
+    # returns gamma0 and rho0 = rho(gamma0) exactly as it computed them,
+    # with no rule that prefers gamma0 over a marginally lower probe
+    rng = np.random.default_rng(seed)
+    for n in range(2, 41):
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        k = rng.normal(size=(n, n)) * rng.uniform(0.1, 3.0) / math.sqrt(n)
+        q = u @ (-0.5 * np.eye(n) + k - k.T) @ u.T
+        form = form_eigenvalues(q)
+        lam = -float(form(0.0, 0.5, 0.0).max())
+        gamma0 = lam / float(form(0.0, 0.0, 1.0).max())
+        rho0 = math.sqrt(max(0.0, float(form(1.0, gamma0, gamma0 * gamma0).max())))
+        assert touching._step(form, lam) == (gamma0, rho0), n
 
 
 def test_circulant_touch_keeps_the_closed_form_step(monkeypatch):
@@ -373,7 +424,8 @@ def test_circulant_touch_keeps_the_closed_form_step(monkeypatch):
     q = dense(problem.q)
     dense_res = touch(SubdifferentialOracle(Indicator(Ball(np.zeros(6), 1.0))), q, 0.5)
     assert calls == {"_lowest_cut": 2}
-    assert dense_res.gamma == -max_sym_eigenvalue(q) / operator_norm(q) ** 2
+    # ||Q||^2 as touch reads it: the top eigenvalue of the Gram matrix
+    assert dense_res.gamma == -max_sym_eigenvalue(q) / np.linalg.eigvalsh(q.T @ q)[-1]
 
 
 @pytest.mark.parametrize("seed", range(5))
