@@ -34,10 +34,7 @@ from .hilbert import (
     as_operator,
     as_vector,
     invert,
-    max_sym_eigenvalue,
-    operator_norm,
     orthonormal_range,
-    project_onto,
 )
 from .monotone import (
     LinearMonotoneOracle,
@@ -87,12 +84,9 @@ __all__ = [
     "generalized_cycle",
     "invert",
     "is_mu_unmonotone",
-    "max_sym_eigenvalue",
     "minty_point",
     "modulus_from_lambda",
-    "operator_norm",
     "orthonormal_range",
-    "project_onto",
     "sum_prox",
     "touch",
     "verify_identities",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .convex import ConvexSet, SeparableSum, Support
 from .errors import DegenerateProblemError
-from .hilbert import BlockCirculant, as_vector, project_onto, scaled_tol
+from .hilbert import BlockCirculant, as_vector, scaled_tol
 from .monotone import SubspaceRestrictedOracle
 from .touching import PASS_TOL, VerificationReport, _certificate, touch
 
@@ -196,9 +196,7 @@ def verify_identities(problem, solution):
     _, bound = _certificate(*touching_pair(problem), se)
     residuals = {
         "error_bound": bound,
-        "range_membership": float(
-            np.linalg.norm(e - project_onto(problem.range_space, e))
-        ),
+        "range_membership": float(np.linalg.norm(e - problem.range_space.project(e))),
     }
     thresholds = {
         "error_bound": threshold,

@@ -180,28 +180,9 @@ def orthonormal_range(a):
     return Subspace(u[:, keep])
 
 
-def project_onto(subspace, x):
-    """Orthogonal projection of ``x`` onto ``subspace``."""
-    return subspace.project(as_vector(x, dim=subspace.ambient_dim))
-
-
-def operator_norm(a):
-    """Largest singular value of ``a``."""
-    if isinstance(a, BlockCirculant):
-        return float(np.abs(a.spectrum).max())
-    m = as_operator(a)
-    if min(m.shape) == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def max_sym_eigenvalue(a):
-    """Largest eigenvalue of the symmetric part (A + A^T) / 2."""
-    return float(form_eigenvalues(as_operator(a, square=True))(0.0, 0.5, 0.0).max())
-
-
 def invert(a):
-    """Inverse of a square matrix, guarded by a singular-value ratio gate.
+    """Inverse of a square matrix from one SVD A = U S V^T, guarded by a
+    singular-value ratio gate: A^{-1} = V S^{-1} U^T.
 
     Raises SingularOperatorError when sigma_min / sigma_max <= COND_TOL,
     reporting the offending ratio.
@@ -209,11 +190,11 @@ def invert(a):
     if isinstance(a, BlockCirculant):
         raise ValueError("invert takes a dense matrix, not a BlockCirculant")
     m = as_operator(a, square=True)
-    s = np.linalg.svd(m, compute_uv=False)
-    ratio = float(s.min() / s.max()) if s.max() > 0.0 else 0.0
+    u, s, vt = np.linalg.svd(m)
+    ratio = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
     if ratio <= COND_TOL:
         raise SingularOperatorError(
             f"operator is numerically singular: sigma_min/sigma_max = {ratio:.3e}"
             f" <= {COND_TOL:.1e}"
         )
-    return np.linalg.inv(m)
+    return (vt.T / s) @ u.T

@@ -71,12 +71,12 @@ def is_mu_unmonotone(q, mu):
 
 def certified_lambda(q, lam):
     """Check the quadratic-form gate <y, Qy> <= -lam ||y||^2 and return the
-    largest constant for which it holds, -max_sym_eigenvalue(Q).
+    largest constant for which it holds, minus the top eigenvalue of sym(Q).
 
-    ``lam`` only gates: the check is spectral (max_sym_eigenvalue(Q) <= -lam
-    up to the larger of SPECTRAL_SLACK max(1, lam) and ROUNDING_SLACK times
-    the largest |eigenvalue| of sym(Q), and below 0 in any case), and
-    PreconditionError reports the offending eigenvalue.
+    ``lam`` only gates: the check is spectral (the top eigenvalue of sym(Q)
+    is at most -lam, up to the larger of SPECTRAL_SLACK max(1, lam) and
+    ROUNDING_SLACK times the largest |eigenvalue| of sym(Q), and below 0 in
+    any case), and PreconditionError reports the offending eigenvalue.
     """
     m = as_operator(q, square=True)
     lam = as_positive(lam, "lam")

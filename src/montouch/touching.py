@@ -13,9 +13,9 @@ factor of its linear part, the step norm
     rho(gamma)^2 = max_{||y|| = 1} 1 + 2 gamma <y, Qy> + gamma^2 ||Qy||^2,
 
 the top eigenvalue of I + gamma (Q + Q^T) + gamma^2 Q^T Q, which
-``hilbert.form_eigenvalues`` gives at (1, gamma, gamma^2).  With
-lam = -max_sym_eigenvalue(Q) and beta = ||Q||, whose square is the same
-form's top at (0, 0, 1), every term of the maximum is at most
+``hilbert.form_eigenvalues`` gives at (1, gamma, gamma^2).  With lam
+minus the top eigenvalue of sym(Q) and beta = ||Q||, whose square is the
+same form's top at (0, 0, 1), every term of the maximum is at most
 1 - 2 gamma lam + gamma^2 beta^2, so rho(lam / beta^2) is at most
 sqrt(1 - lam^2 / beta^2); taking y on top of sym(Q) gives
 rho(gamma) >= |1 - gamma lam|, so no step contracts when lam <= 0.  The
@@ -66,6 +66,7 @@ the gate <y, Qy> <= -lam ||y||^2 that ``touch`` checks.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,17 +146,20 @@ def _lowest_cut(cuts, lo, hi):
 
 def _step(form, lam):
     # (gamma, rho(gamma)) at the step that minimises rho, for Q's
-    # form_eigenvalues, lam = -max_sym_eigenvalue(Q) and beta = ||Q||, whose
-    # square is the form's top at (0, 0, 1); with lam <= 0 no step contracts.
+    # form_eigenvalues, lam = minus the top eigenvalue of sym(Q) and
+    # beta = ||Q||, whose square is the form's top at (0, 0, 1).  No step
+    # contracts (rho = inf) with lam <= 0; none is certified with a beta^2
+    # below the smallest normal float, which has lost its bits and whose steps,
+    # up to 2 / beta, square past the largest float in the form.
     # A step that beats gamma0 = lam / beta^2 has rho <= rho0 = rho(gamma0),
     # and rho is at least
     #   |1 - gamma lam|  (y on top of sym(Q)), so gamma >= (1 - rho0) / lam = lo,
     #   gamma beta - 1   (reverse triangle),   so gamma <= (1 + rho0) / beta = hi.
     # Each probe adds its top vector's cut (module docstring); the next probe
     # minimises the cuts' maximum on [lo, hi], a lower bound on rho^2 there.
-    if not lam > 0.0:
-        return math.nan, math.inf
     beta2 = float(form(0.0, 0.0, 1.0).max())
+    if not (lam > 0.0 and beta2 >= sys.float_info.min):
+        return math.nan, math.inf
     gamma0 = lam / beta2
     best, cut = form.top(gamma0)
     rho0 = math.sqrt(max(0.0, best))
@@ -193,7 +197,8 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     checked spectrally.  The step gamma and its contraction factor
     rho = ||I + gamma Q|| come from Q alone: gamma minimises rho, and
     ValueError names rho where even that rounds to 1 (lam tiny against
-    ||Q||).  Iterates y -> F(y) and returns the first y whose certificate
+    ||Q||), or names the underflow where ||Q||^2 is below the smallest
+    normal float.  Iterates y -> F(y) and returns the first y whose certificate
     ||F(y) - y|| / (1 - rho) is within tol * max(1, ||y||), with that
     certificate as ``error_bound``; hitting the cap, a non-finite step or a
     ConvergenceError of the oracle raises ConvergenceError with the steps
@@ -210,8 +215,10 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     form = form_eigenvalues(q)
     gamma, rho = _step(form, _lam_gate(form, lam))
     if not rho < 1.0:
-        raise ValueError(
-            f"no step contracts: the smallest rho = ||I + gamma Q|| is {rho:.6e}")
+        # the gate has made lam > 0, so _step's rho = inf means ||Q||^2 underflows
+        raise ValueError("no step contracts: " + (
+            "||Q||^2 underflows" if rho == math.inf
+            else f"the smallest rho = ||I + gamma Q|| is {rho:.6e}"))
 
     y = np.zeros(oracle.dim) if start is None else as_vector(start, dim=oracle.dim)
     residual = math.nan
@@ -253,9 +260,10 @@ def fixed_point(oracle, t, lam, tol=1e-10, max_iter=100000):
     <x, Tx> + lam ||Tx||^2 <= 0.
 
     This is ``touch`` on Q = T^{-1}, whose gate <y, Qy> <= -lam ||y||^2 is
-    the same hypothesis written in y = T x; a singular T raises
-    SingularOperatorError.  The returned TouchResult has e = the fixed
-    point and d = T e.
+    the same hypothesis written in y = T x.  T is factored once: one SVD
+    gives both the condition gate (a singular T raises
+    SingularOperatorError) and T^{-1} (``hilbert.invert``).  The returned
+    TouchResult has e = the fixed point and d = T e.
     """
     return touch(oracle, invert(t), lam, tol=tol, max_iter=max_iter)
 
@@ -268,8 +276,9 @@ def verify_touch(oracle, q, result):
     ||F(d) - d|| / (1 - rho), which bounds the distance from d to the
     unique touching point.  gamma and rho = ||I + gamma Q|| are derived
     from ``q``; the result's own ``gamma`` and ``rho`` are never read.  A q
-    that no step contracts (lam = -max_sym_eigenvalue(Q) <= 0) makes both
-    residuals infinite.  Passes iff both stay within 1e-6 * max(1, ||d||).
+    that no step contracts (the top eigenvalue of sym(Q) is >= 0, or ||Q||^2
+    underflows) makes both residuals infinite.  Passes iff both stay within
+    1e-6 * max(1, ||d||).
     """
     q = as_operator(q, square=True)
     d = as_vector(result.d, dim=oracle.dim)

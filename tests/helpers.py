@@ -14,8 +14,6 @@ from montouch import (
     Singleton,
     SubdifferentialOracle,
     Support,
-    max_sym_eigenvalue,
-    operator_norm,
     orthonormal_range,
 )
 
@@ -89,29 +87,34 @@ def random_monotone_matrix(rng, dim, scale=1.0):
     return psd + skew
 
 
+def top_sym_eigenvalue(a):
+    """Largest eigenvalue of the symmetric part (A + A^T) / 2, by numpy."""
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
+
+
 def random_gate_matrix(rng, dim, lam=0.5, scale=0.25):
-    """Random Q with max_sym_eigenvalue(Q) = -lam, so the quadratic gate
+    """Random Q whose symmetric part tops out at -lam, so the quadratic gate
     <y, Qy> <= -lam ||y||^2 holds with equality in the worst direction."""
     g = scale * rng.normal(size=(dim, dim))
-    shift = max_sym_eigenvalue(g) + lam
+    shift = top_sym_eigenvalue(g) + lam
     return g - shift * np.eye(dim)
 
 
 def gate_matrix_with_norm(rng, dim, lam=0.5, norm=3.0):
-    """Random Q with max_sym_eigenvalue(Q) = -lam and ||Q|| = ``norm``.
+    """Random Q whose symmetric part tops out at -lam, with ||Q|| = ``norm``.
 
     Q(s) = s H - lam I, with H a Gaussian matrix shifted so that its
     symmetric part tops out at 0.  ||Q(s)|| equals lam at s = 0, never
     drops below it and is convex in s, so bisection finds ||Q(s)|| = norm.
     """
     g = rng.normal(size=(dim, dim)) / np.sqrt(dim)
-    h = g - max_sym_eigenvalue(g) * np.eye(dim)
+    h = g - top_sym_eigenvalue(g) * np.eye(dim)
     lo, hi = 0.0, 1.0
-    while operator_norm(hi * h - lam * np.eye(dim)) < norm:
+    while np.linalg.norm(hi * h - lam * np.eye(dim), 2) < norm:
         hi *= 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if operator_norm(mid * h - lam * np.eye(dim)) < norm:
+        if np.linalg.norm(mid * h - lam * np.eye(dim), 2) < norm:
             lo = mid
         else:
             hi = mid

@@ -44,7 +44,6 @@ from montouch import (
     minty_point,
     modulus_from_lambda,
     orthonormal_range,
-    project_onto,
     touch,
     verify_identities,
     verify_touch,
@@ -368,7 +367,7 @@ def test_criterion_08_classical_generalized_link(corpus, report):
         sx = entry.problem.displacement @ entry.classical
         scale = max(1.0, float(np.linalg.norm(se)))
         worst_shift = max(worst_shift, float(np.linalg.norm(sx - se)) / scale)
-        projected = project_onto(entry.problem.range_space, entry.classical)
+        projected = entry.problem.range_space.project(entry.classical)
         worst_projection = max(
             worst_projection,
             float(np.linalg.norm(entry.solution.e - projected)))

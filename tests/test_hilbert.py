@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import montouch
 from montouch import (
     Ball,
     SingularOperatorError,
@@ -14,11 +15,9 @@ from montouch import (
     as_vector,
     build_problem,
     invert,
-    max_sym_eigenvalue,
-    operator_norm,
     orthonormal_range,
-    project_onto,
 )
+from montouch import hilbert
 from montouch.hilbert import BlockCirculant, as_positive, form_eigenvalues, scaled_tol
 
 SRC = Path(__file__).parent.parent / "src" / "montouch"
@@ -50,18 +49,19 @@ def test_one_owner_for_tolerances_and_positivity():
 
 def test_one_owner_for_spectral_facts():
     # every eigenvalue and singular value montouch reads, and every read of a
-    # circulant's spectrum, is computed in hilbert (form_eigenvalues,
-    # operator_norm, orthonormal_range, invert), so no module keeps its own
-    # dense / BlockCirculant branch
+    # circulant's spectrum, is computed in hilbert, one route per fact:
+    # form_eigenvalues for every eigenvalue and norm, and one SVD each in
+    # orthonormal_range and invert; no module keeps its own dense /
+    # BlockCirculant branch
     for path in sorted(SRC.glob("*.py")):
         if path.name == "hilbert.py":
             continue
         text = path.read_text(encoding="utf-8")
         for word in ("eigvalsh", "svd(", ".spectrum"):
             assert word not in text, (path.name, word)
-    # touch and the gates read ||Q|| from the form they already build
-    for name in ("monotone.py", "touching.py"):
-        assert "operator_norm(" not in (SRC / name).read_text(encoding="utf-8"), name
+    hilbert_text = (SRC / "hilbert.py").read_text(encoding="utf-8")
+    assert hilbert_text.count("svd(") == 2
+    assert "inv(" not in hilbert_text
 
 
 def test_scaled_tol_is_tol_times_max_one_size():
@@ -93,18 +93,24 @@ def test_as_operator_rejects_bad_shapes():
     assert as_operator(np.zeros((0, 0))).shape == (0, 0)
 
 
-def _circulant_norm_from_gram(q):
-    return math.sqrt(form_eigenvalues(q)(0.0, 0.0, 1.0).max())
+def _norm(a):
+    # ||A||, the square root of the form's top at (0, 0, 1), the top of A^T A
+    return math.sqrt(form_eigenvalues(as_operator(a, square=True))(0.0, 0.0, 1.0).max())
+
+
+def _top_sym(a):
+    # the top eigenvalue of sym(A), the form's top at (0, 1/2, 0)
+    return float(form_eigenvalues(as_operator(a, square=True))(0.0, 0.5, 0.0).max())
 
 
 def test_circulant_norm_from_its_gram_is_bitwise_operator_norm():
     # touch and the gates read ||Q|| as the square root of the form's top at
     # (0, 0, 1), fl(max |s_k|^2); in binary64 sqrt(fl(x^2)) == x, so that is
-    # operator_norm's closed-form max |s_k| bit for bit, and a cycle's step
+    # the closed-form operator norm max |s_k| bit for bit, and a cycle's step
     # and rho keep their closed form
     for n in range(2, 65):
         q = build_problem([Ball([3.0 * k, 0.0], 1.0) for k in range(n)]).q
-        assert _circulant_norm_from_gram(q) == operator_norm(q), n
+        assert _norm(q) == np.abs(q.spectrum).max(), n
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(1, 65))
@@ -112,7 +118,7 @@ def test_circulant_norm_from_its_gram_is_bitwise_operator_norm():
         # s_k = conj(s_{-k}): the spectrum of a real circulant
         s = 0.5 * (s + np.conj(np.roll(s[::-1], 1)))
         q = BlockCirculant(s, int(rng.integers(1, 4)))
-        assert _circulant_norm_from_gram(q) == operator_norm(q), s
+        assert _norm(q) == np.abs(q.spectrum).max(), s
 
 
 def test_subspace_requires_orthonormal_basis():
@@ -137,7 +143,7 @@ def test_orthonormal_range_full_and_trivial():
 
 def test_project_onto_line():
     y = orthonormal_range([[-1.0, 1.0], [1.0, -1.0]])
-    p = project_onto(y, [1.0, 0.0])
+    p = y.project(np.array([1.0, 0.0]))
     assert np.allclose(p, [0.5, -0.5], atol=1e-12)
 
 
@@ -148,22 +154,22 @@ def test_project_onto_is_idempotent_and_orthogonal():
         a = rng.normal(size=(n, n))
         y = orthonormal_range(a)
         x = rng.normal(size=n)
-        p = project_onto(y, x)
-        assert np.allclose(project_onto(y, p), p, atol=1e-11)
+        p = y.project(x)
+        assert np.allclose(y.project(p), p, atol=1e-11)
         # residual is orthogonal to the subspace
         assert np.linalg.norm(y.basis.T @ (x - p)) <= 1e-10
 
 
 def test_project_onto_trivial_subspace_is_zero():
     y = orthonormal_range(np.zeros((3, 3)))
-    assert np.allclose(project_onto(y, [1.0, 2.0, 3.0]), 0.0)
+    assert np.allclose(y.project(np.array([1.0, 2.0, 3.0])), 0.0)
 
 
 def test_operator_norm_values():
-    assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
+    assert _norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
     # singular values of [[0,2],[0,0]] are {2, 0}
-    assert operator_norm([[0.0, 2.0], [0.0, 0.0]]) == pytest.approx(2.0, abs=1e-12)
-    assert operator_norm(np.zeros((3, 2))) == 0.0
+    assert _norm([[0.0, 2.0], [0.0, 0.0]]) == pytest.approx(2.0, abs=1e-12)
+    assert _norm(np.zeros((3, 3))) == 0.0
 
 
 def test_operator_norm_dominates_action():
@@ -171,21 +177,22 @@ def test_operator_norm_dominates_action():
     for _ in range(100):
         a = rng.normal(size=(4, 4))
         x = rng.normal(size=4)
-        assert np.linalg.norm(a @ x) <= operator_norm(a) * np.linalg.norm(x) + 1e-10
+        assert np.linalg.norm(a @ x) <= _norm(a) * np.linalg.norm(x) + 1e-10
+        assert _norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
 
 def test_max_sym_eigenvalue_values():
-    assert max_sym_eigenvalue(-np.eye(3)) == pytest.approx(-1.0, abs=1e-12)
+    assert _top_sym(-np.eye(3)) == pytest.approx(-1.0, abs=1e-12)
     # sym part of [[0,1],[0,0]] has eigenvalues +-1/2
-    assert max_sym_eigenvalue([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(0.5, abs=1e-12)
-    assert max_sym_eigenvalue(np.diag([2.0, 3.0])) == pytest.approx(3.0, abs=1e-12)
+    assert _top_sym([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(0.5, abs=1e-12)
+    assert _top_sym(np.diag([2.0, 3.0])) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_max_sym_eigenvalue_bounds_rayleigh_quotient():
     rng = np.random.default_rng(13)
     for _ in range(200):
         a = rng.normal(size=(5, 5))
-        top = max_sym_eigenvalue(a)
+        top = _top_sym(a)
         y = rng.normal(size=5)
         y /= np.linalg.norm(y)
         assert float(y @ a @ y) <= top + 1e-9
@@ -211,9 +218,9 @@ def test_form_eigenvalues_refuses_an_overflowing_gram():
     # 0 * inf would turn every entry of the form into NaN, and LAPACK returns
     # finite garbage for a NaN matrix
     with pytest.raises(ValueError, match="overflows"):
-        max_sym_eigenvalue(1e200 * np.eye(2))
+        form_eigenvalues(1e200 * np.eye(2))
     with pytest.raises(ValueError, match="overflows"):
-        max_sym_eigenvalue(BlockCirculant([1e200, -1e200], 1))
+        form_eigenvalues(BlockCirculant([1e200, -1e200], 1))
 
 
 def test_invert_values():
@@ -235,3 +242,16 @@ def test_invert_roundtrip():
         a = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
         left = a @ invert(a) - np.eye(n)
         assert np.abs(left).max() <= 1e-10
+
+
+def test_public_surface_has_one_route_per_spectral_fact():
+    # every exported name resolves, once; the second routes to ||A|| and the
+    # top of sym(A), and the projection wrapper, are gone: form_eigenvalues
+    # answers both facts and Subspace.project projects
+    assert len(set(montouch.__all__)) == len(montouch.__all__)
+    for name in montouch.__all__:
+        assert getattr(montouch, name) is not None, name
+    for name in ("operator_norm", "max_sym_eigenvalue", "project_onto"):
+        assert name not in montouch.__all__
+        assert not hasattr(montouch, name), name
+        assert not hasattr(hilbert, name), name

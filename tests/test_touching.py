@@ -21,9 +21,7 @@ from montouch import (
     fixed_point,
     invert,
     is_mu_unmonotone,
-    max_sym_eigenvalue,
     modulus_from_lambda,
-    operator_norm,
     touch,
     verify_touch,
 )
@@ -40,6 +38,7 @@ from helpers import (
     random_monotone_matrix,
     random_prox_function,
     random_touch_instance,
+    top_sym_eigenvalue,
 )
 
 
@@ -217,7 +216,7 @@ def test_step_norm_gates_and_certifies(seed):
         oracle = LinearMonotoneOracle(random_monotone_matrix(rng, dim))
     else:
         oracle = SubdifferentialOracle(random_prox_function(rng, dim))
-    beta = operator_norm(q)
+    beta = float(np.linalg.norm(q, 2))
     gamma0 = 0.5 / beta**2
     rho0 = float(np.linalg.norm(np.eye(dim) + gamma0 * q, 2))
     assert rho0 <= math.sqrt(1.0 - 0.25 / beta**2) + 1e-12
@@ -237,7 +236,7 @@ def test_touch_contraction_bound_linear_instances():
         q = random_gate_matrix(rng, dim, lam=0.5)
         oracle = LinearMonotoneOracle(random_monotone_matrix(rng, dim))
         start = rng.normal(size=dim)
-        beta = operator_norm(q)
+        beta = float(np.linalg.norm(q, 2))
         # random_gate_matrix puts the top symmetric eigenvalue of Q at -1/2
         gamma0 = 0.5 / beta**2
         bound0 = math.sqrt(1.0 - 2.0 * gamma0 * 0.5 + gamma0**2 * beta**2)
@@ -282,7 +281,7 @@ def test_step_search_bracket_holds_the_minimiser(seed):
     # 513 has a kinked rho at its minimiser
     q = _bracket_problem(seed)
     dim = q.shape[0]
-    lam, beta = -max_sym_eigenvalue(q), operator_norm(q)
+    lam, beta = -top_sym_eigenvalue(q), float(np.linalg.norm(q, 2))
     gamma0 = lam / beta ** 2
     # rho0 as the search computes it, so that res.rho <= rho0 holds exactly
     form = form_eigenvalues(q)
@@ -352,7 +351,6 @@ def _entry_points(oracle, q, result):
         "modulus_from_lambda": lambda: modulus_from_lambda(q, 0.5),
         "is_mu_unmonotone": lambda: is_mu_unmonotone(q, 0.01),
         "LinearMonotoneOracle": lambda: LinearMonotoneOracle(-q),
-        "max_sym_eigenvalue": lambda: max_sym_eigenvalue(q),
     }
 
 
@@ -416,7 +414,7 @@ def test_circulant_touch_keeps_the_closed_form_step(monkeypatch):
                         _counted(calls, "_lowest_cut", touching._lowest_cut))
     res = touch(*touching_pair(problem), 0.5)
     assert calls == {"_lowest_cut": 1}
-    assert res.gamma == 0.5 / operator_norm(problem.q) ** 2
+    assert res.gamma == 0.5 / np.abs(problem.q.spectrum).max() ** 2
     assert res.gamma.hex() == "0x1.7fffffffffffep+0"
     assert res.rho.hex() == "0x1.0000000000002p-1"
     # the same Q as a dense matrix: its top vector at gamma0 is a Fourier
@@ -425,7 +423,7 @@ def test_circulant_touch_keeps_the_closed_form_step(monkeypatch):
     dense_res = touch(SubdifferentialOracle(Indicator(Ball(np.zeros(6), 1.0))), q, 0.5)
     assert calls == {"_lowest_cut": 2}
     # ||Q||^2 as touch reads it: the top eigenvalue of the Gram matrix
-    assert dense_res.gamma == -max_sym_eigenvalue(q) / np.linalg.eigvalsh(q.T @ q)[-1]
+    assert dense_res.gamma == -top_sym_eigenvalue(q) / np.linalg.eigvalsh(q.T @ q)[-1]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -500,6 +498,44 @@ def test_fixed_point_singular_map():
         fixed_point(ShiftedAbsOracle(), [[0.0]], 0.5)
 
 
+def test_fixed_point_factors_t_once(monkeypatch):
+    # one SVD T = U S V^T gives both the condition gate and
+    # T^{-1} = V S^{-1} U^T: no second factorization by np.linalg.inv
+    t = np.array([[-2.0, 1.0, 0.0], [-1.0, -2.0, 1.0], [0.0, -1.0, -2.0]])
+    oracle = SubdifferentialOracle(Indicator(Box(np.full(3, 2.0), np.full(3, 3.0))))
+    counts = {"svd": 0, "inv": 0}
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, _counted(counts, name, getattr(np.linalg, name)))
+    res = fixed_point(oracle, t, 0.1)
+    assert counts == {"svd": 1, "inv": 0}
+    assert np.linalg.norm(t @ res.e - res.d) <= 1e-12
+    assert verify_touch(oracle, invert(t), res).passed
+
+
+@pytest.mark.parametrize("k", range(140, 171, 2))
+def test_tiny_q_gets_its_rho_or_names_the_underflow(k):
+    # Q = s [[-1, 1], [-1, -1]], s = 10^-k, lam = s / 10: ||Q||^2 = 2 s^2
+    # leaves the normal floats near k = 154.  Past it the step's gamma^2 used
+    # to overflow (a false rho = 0 from k = 156) and then ||Q||^2 to round to
+    # 0 (ZeroDivisionError from k = 162).  Each call now returns the true
+    # rho = ||I + gamma Q|| or refuses by name, as does fixed_point on
+    # T = Q^{-1}; verify_touch certifies nothing where touch refuses
+    s = 10.0 ** -k
+    q = s * np.array([[-1.0, 1.0], [-1.0, -1.0]])
+    t = (0.5 / s) * np.array([[-1.0, -1.0], [1.0, -1.0]])
+    oracle = SubdifferentialOracle(Indicator(Ball(np.ones(2), 1.0)))
+    for solve, op, linear in ((touch, q, q), (fixed_point, t, invert(t))):
+        try:
+            res = solve(oracle, op, s / 10.0)
+        except ValueError as err:
+            assert str(err) == "no step contracts: ||Q||^2 underflows"
+            dummy = touch(oracle, -np.eye(2), 0.5)
+            assert verify_touch(oracle, linear, dummy).residuals["error_bound"] == math.inf
+        else:
+            rho = np.linalg.norm(np.eye(2) + res.gamma * linear, 2)
+            assert res.rho == pytest.approx(rho, rel=1e-12)
+
+
 def test_verify_touch_passes_on_correct_result():
     oracle = SubdifferentialOracle(Indicator(Box([2.0], [3.0])))
     q = np.array([[-1.0]])
@@ -550,7 +586,7 @@ def test_verify_touch_flags_perturbed_result():
 
 
 def test_verify_touch_fails_where_no_step_contracts():
-    # Q = 1 and Q = 0 fail the gate: -max_sym_eigenvalue(Q) <= 0 leaves
+    # Q = 1 and Q = 0 fail the gate: lam = -top(sym(Q)) <= 0 leaves
     # rho >= 1 at every step, so the bound is infinite and the report fails
     res = touch(ShiftedAbsOracle(), [[-1.0]], 0.5)
     for q in ([[1.0]], [[0.0]]):
