@@ -45,7 +45,6 @@ from .monotone import (
     is_mu_unmonotone,
     minty_point,
     modulus_from_lambda,
-    sum_prox,
 )
 from .touching import TouchResult, VerificationReport, fixed_point, touch, verify_touch
 
@@ -87,7 +86,6 @@ __all__ = [
     "minty_point",
     "modulus_from_lambda",
     "orthonormal_range",
-    "sum_prox",
     "touch",
     "verify_identities",
     "verify_touch",

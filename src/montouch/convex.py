@@ -19,7 +19,9 @@ for groups: the indicators and the support functions of plain boxes and
 plain balls, grouped by (kind, set class, block length), run once per group
 of two or more on all its coordinates, as one merged box or one stack of
 ball rows; a group of one keeps its part.  ``Indicator`` and ``Support``
-call their set's ``_project``, ``_support`` or ``_contains``.
+call their set's ``_project``, ``_support`` or ``_contains``.  Outside this
+module, ``SubspaceRestrictedOracle.resolvent`` runs ``fn._prox`` at each
+Dykstra step, and ``cycles.classical_cycle``'s sweep each set's ``_project``.
 A new set or function implements the kernel, not the public method.
 
 Kernels on small blocks avoid numpy's Python-level wrappers: the ball's

@@ -28,7 +28,7 @@ import numpy as np
 
 from .convex import ConvexSet, SeparableSum, Support
 from .errors import DegenerateProblemError
-from .hilbert import BlockCirculant, as_vector, scaled_tol
+from .hilbert import BlockCirculant, as_positive, as_vector, scaled_tol
 from .monotone import SubspaceRestrictedOracle
 from .touching import PASS_TOL, VerificationReport, _certificate, touch
 
@@ -149,23 +149,25 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
     i > 1.  The wrap-around x_1 = P_1(x_N) is off by at most
     ||T z - z|| <= tol max(1, ||z||) for the nonexpansive sweep T;
     ``verify_identities`` checks x independently through S x = S e.
+    A ``tol`` that is not positive and finite is a ValueError.
     """
     m = problem.base_dim
+    tol = as_positive(tol, "tol")
     z = np.zeros(m) if start is None else as_vector(start, dim=m)
     for _ in range(int(max_iter)):
         z_next = z
         for c in problem.sets:
-            z_next = c.project(z_next)
-        change = float(np.linalg.norm(z_next - z))
+            z_next = c._project(z_next)
+        moved = z_next - z
         z = z_next
-        if change <= scaled_tol(tol, math.sqrt(z.dot(z))):
+        if math.sqrt(moved.dot(moved)) <= scaled_tol(tol, math.sqrt(z.dot(z))):
             break
     else:
         return None
 
     xs = []
     for c in problem.sets:
-        z = c.project(z)
+        z = c._project(z)
         xs.append(z)
     return np.concatenate(xs)
 

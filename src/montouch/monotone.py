@@ -2,8 +2,8 @@
 
 Three oracle kinds are provided: subdifferentials of proximable functions,
 monotone linear maps, and subdifferentials of a proximable function
-restricted to a subspace, in ambient coordinates (resolved by a
-Dykstra-style scheme, ``sum_prox``).
+restricted to a subspace, in ambient coordinates (resolved by Dykstra's
+scheme inside ``SubspaceRestrictedOracle.resolvent``).
 The module also certifies strong anti-monotonicity of a linear map
 (``is_mu_unmonotone``), checks the quadratic-form gate the touching solver
 needs (``certified_lambda``) and converts that gate into the
@@ -158,8 +158,8 @@ class LinearMonotoneOracle(ResolventOracle):
 
 class SubspaceRestrictedOracle(ResolventOracle):
     """M = subdifferential of (fn + indicator of a subspace), in the ambient
-    coordinates of ``fn``.  Each resolvent call is one ``sum_prox``, which
-    needs only ``ambient_dim`` and ``project`` of the subspace."""
+    coordinates of ``fn``; the subspace needs only ``ambient_dim`` and
+    ``project``.  The pair is checked once, here."""
 
     def __init__(self, fn, subspace):
         if not isinstance(fn, ProxFunction):
@@ -171,44 +171,40 @@ class SubspaceRestrictedOracle(ResolventOracle):
         self.dim = subspace.ambient_dim
 
     def resolvent(self, lam, x):
-        return sum_prox(self.fn, self.subspace, lam, x)
+        """argmin_{z in subspace} fn(z) + ||z - x||^2 / (2 lam), by Dykstra's
+        scheme on kernels: ``lam`` and ``x`` are checked once, then each step
+        runs ``fn._prox`` and the subspace's projection, which needs no
+        correction term (for a linear V it stays in V^perp, where P_V
+        vanishes).  Stops once the change of z and the gap between the
+        half-steps are within SUM_PROX_TOL max(1, ||z||).  A non-finite step
+        raises ValueError; SUM_PROX_MAX_ITER steps (dom fn may not meet the
+        subspace) raise ConvergenceError with the last residual."""
+        lam = as_positive(lam, "step")
+        z = as_vector(x, dim=self.dim)
+        p = np.zeros_like(z)
+        residual = math.inf
+        for _ in range(SUM_PROX_MAX_ITER):
+            y = self.fn._prox(lam, z + p)
+            p = z + p - y
+            z_next = self.subspace.project(y)
+            moved, gap = z_next - z, y - z_next
+            moved, gap = math.sqrt(moved.dot(moved)), math.sqrt(gap.dot(gap))
+            # finite norms are below 1.4e154, so the sum is finite iff both are
+            if not math.isfinite(moved + gap):
+                raise ValueError(
+                    f"prox at step {lam:.3e} is not finite: an intermediate overflowed")
+            residual = max(moved, gap)
+            z = z_next
+            if residual <= scaled_tol(SUM_PROX_TOL, math.sqrt(z.dot(z))):
+                return z
+        raise ConvergenceError(
+            f"the restricted resolvent did not converge within {SUM_PROX_MAX_ITER} Dykstra steps "
+            f"(residual {residual:.3e}); the function domain may not meet the subspace",
+            residual=residual,
+            iterations=SUM_PROX_MAX_ITER,
+        )
 
 
 def minty_point(oracle, mu):
     """The unique y with 0 in mu y + M y, namely (I + M/mu)^{-1} 0."""
     return oracle.resolvent(1.0 / as_positive(mu, "mu"), np.zeros(oracle.dim))
-
-
-def sum_prox(fn, subspace, lam, v, tol=SUM_PROX_TOL, max_iter=SUM_PROX_MAX_ITER):
-    """argmin_{z in subspace} fn(z) + ||z - v||^2 / (2 lam).
-
-    Dykstra's scheme alternating the prox of ``lam * fn`` with the
-    projection onto the subspace.  The projection needs no correction term:
-    for a linear subspace V that term stays in V^perp, where P_V vanishes.
-    Stops when both the successive change of the subspace iterate x and
-    the gap between the two half-steps fall below tol * max(1, ||x||);
-    hitting the cap (e.g. because dom fn never meets the subspace) raises
-    ConvergenceError carrying the last residual.
-    """
-    lam = as_positive(lam, "step")
-    v = as_vector(v, dim=subspace.ambient_dim)
-    x = v.copy()
-    p = np.zeros_like(v)
-    residual = math.inf
-    for it in range(1, int(max_iter) + 1):
-        y = fn.prox(lam, x + p)
-        p = x + p - y
-        x_next = subspace.project(y)  # y is fn.prox's validated output
-        residual = max(
-            float(np.linalg.norm(x_next - x)),
-            float(np.linalg.norm(y - x_next)),
-        )
-        x = x_next
-        if residual <= scaled_tol(tol, math.sqrt(x.dot(x))):
-            return x
-    raise ConvergenceError(
-        f"sum_prox did not converge within {max_iter} iterations "
-        f"(residual {residual:.3e}); the function domain may not meet the subspace",
-        residual=residual,
-        iterations=int(max_iter),
-    )

@@ -54,10 +54,10 @@ y -> F(y), is also that certificate of y, so ``touch`` stops at the first
 iterate whose bound ||F(y) - y|| / (1 - rho) is within tol max(1, ||y||)
 and returns that y with that bound: no further resolvent call.  The bound
 holds for any d, but it measures F through the oracle: an oracle that
-solves an inner problem (``sum_prox`` stops on a relative change of 1e-11)
-adds an error that the bound does not see, and an oracle that stalls
-(ConvergenceError) stops ``touch`` with the steps it completed and its last
-residual.  ``verify_touch`` and ``cycles.verify_identities`` recompute the
+solves an inner problem (the restricted resolvent's Dykstra loop stops on a
+relative change of 1e-11) adds an error that the bound does not see, and an
+oracle that stalls (ConvergenceError) stops ``touch`` with the steps it
+completed and its last residual.  ``verify_touch`` and ``cycles.verify_identities`` recompute the
 bound from Q at the same step.
 
 ``fixed_point`` solves y in M(T y) for an invertible T as ``touch`` on
@@ -198,7 +198,8 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     rho = ||I + gamma Q|| come from Q alone: gamma minimises rho, and
     ValueError names rho where even that rounds to 1 (lam tiny against
     ||Q||), or names the underflow where ||Q||^2 is below the smallest
-    normal float.  Iterates y -> F(y) and returns the first y whose certificate
+    normal float; a ``tol`` that is not positive and finite is a ValueError.
+    Iterates y -> F(y) and returns the first y whose certificate
     ||F(y) - y|| / (1 - rho) is within tol * max(1, ||y||), with that
     certificate as ``error_bound``; hitting the cap, a non-finite step or a
     ConvergenceError of the oracle raises ConvergenceError with the steps
@@ -212,6 +213,7 @@ def touch(oracle, q, lam, tol=1e-10, max_iter=100000, start=None):
     if int(max_iter) < 1:
         raise ValueError("max_iter must be at least 1")
     lam = as_positive(lam, "lam")
+    tol = as_positive(tol, "tol")
     form = form_eigenvalues(q)
     gamma, rho = _step(form, _lam_gate(form, lam))
     if not rho < 1.0:

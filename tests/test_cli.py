@@ -304,7 +304,7 @@ def test_check_unmonotone_rejects_bad_mu_with_the_library_message(capsys, mu):
 
 def test_cycle_passes_on_a_family_a_million_units_wide(capsys, tmp_path):
     # the inner stop scales with the iterate: an absolute 1e-11 stalled here
-    # at sum_prox's iteration cap and exited 2
+    # at the restricted resolvent's iteration cap and exited 2
     path = write_json(tmp_path, "wide.json", {
         "base_dimension": 2,
         "sets": [
@@ -574,23 +574,23 @@ def test_exit_2_on_iteration_cap(capsys, tmp_path):
 @pytest.mark.parametrize("k", [1, 3])
 def test_exit_2_reports_the_outer_step_of_a_stalled_resolvent(capsys, monkeypatch,
                                                               tmp_path, k):
-    # sum_prox stalls from the k-th resolvent call on: the exit-2 document
+    # the resolvent stalls from its k-th call on: the exit-2 document
     # reports the k - 1 outer steps completed and the last outer residual
     # (none before the first step), not the inner cap, and keeps its message
-    real, calls = monotone.sum_prox, []
+    real, calls = monotone.SubspaceRestrictedOracle.resolvent, []
+    message = "the restricted resolvent did not converge within 3 Dykstra steps"
 
     def stall(*args, **kwargs):
         calls.append(1)
         if len(calls) >= k:
-            raise ConvergenceError("sum_prox did not converge within 3 iterations",
-                                   residual=0.25, iterations=3)
+            raise ConvergenceError(message, residual=0.25, iterations=3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(monotone, "sum_prox", stall)
+    monkeypatch.setattr(monotone.SubspaceRestrictedOracle, "resolvent", stall)
     code, out, _ = run_cli(capsys, "cycle", "--problem", THREE_BALL)
     doc = json.loads(out)
     assert code == 2 and doc["iterations"] == k - 1
-    assert doc["message"].endswith("sum_prox did not converge within 3 iterations")
+    assert doc["message"].endswith(message)
     monkeypatch.undo()
     if k == 1:
         assert doc["residual"] is None

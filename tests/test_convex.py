@@ -8,20 +8,25 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import montouch.convex
+import montouch.cycles
 import montouch.hilbert
 import montouch.monotone
 from montouch import (
     AffineSet,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     Indicator,
+    ProxFunction,
     ScaledSquare,
     SeparableSum,
     Singleton,
     SubdifferentialOracle,
+    SubspaceRestrictedOracle,
     Support,
     as_vector,
+    build_problem,
     orthonormal_range,
 )
 from helpers import (
@@ -584,7 +589,7 @@ def validations(monkeypatch):
         calls.append(dim)
         return as_vector(x, dim)
 
-    for module in (montouch.convex, montouch.monotone, montouch.hilbert):
+    for module in (montouch.convex, montouch.cycles, montouch.monotone, montouch.hilbert):
         monkeypatch.setattr(module, "as_vector", counted)
     return calls
 
@@ -605,6 +610,56 @@ def test_composite_prox_validates_once(validations):
     calls.clear()
     assert np.array_equal(SubdifferentialOracle(f).resolvent(0.7, x), blockwise)
     assert calls == [8]
+
+
+def test_restricted_resolvent_validates_once_and_runs_kernels(validations, monkeypatch):
+    # Dykstra's steps run fn's prox kernel on what the resolvent validated:
+    # one as_vector per resolvent call and no public prox
+    calls = validations
+    prox_calls = []
+    public_prox = ProxFunction.prox
+    monkeypatch.setattr(ProxFunction, "prox",
+                        lambda *args: prox_calls.append(1) or public_prox(*args))
+    p = build_problem([Ball([0.0, 0.0], 1.0), Ball([6.0, 0.0], 1.0), Ball([3.0, 5.0], 1.0)])
+    oracle = SubspaceRestrictedOracle(p.support_sum, p.range_space)
+    x = np.linspace(-4.0, 5.0, oracle.dim)
+    steps = []
+    kernel = SeparableSum._prox
+    monkeypatch.setattr(SeparableSum, "_prox",
+                        lambda *args: steps.append(1) or kernel(*args))
+    calls.clear()
+    z = oracle.resolvent(0.7, x)
+    assert calls == [6] and prox_calls == [] and len(steps) > 1
+    assert np.abs(z.reshape(3, 2).sum(axis=0)).max() <= 1e-12
+
+
+def test_restricted_resolvent_stops_at_an_overflowing_step(validations, monkeypatch):
+    # x / lam overflows inside the Support kernel: the resolvent validates
+    # once and raises the public prox's ValueError at the first step
+    calls = validations
+    steps = []
+    kernel = Support._prox
+    monkeypatch.setattr(Support, "_prox", lambda *args: steps.append(1) or kernel(*args))
+    oracle = SubspaceRestrictedOracle(Support(Ball([0.0], 1.0)), orthonormal_range(np.eye(1)))
+    calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="is not finite"):
+            oracle.resolvent(1e-320, np.ones(1))
+    assert calls == [1] and steps == [1]
+
+
+def test_classical_cycle_validates_only_its_start(validations, monkeypatch):
+    # the sweep runs each set's projection kernel on the start it validated
+    # (none without a start): no public project
+    calls = validations
+    monkeypatch.setattr(ConvexSet, "project", lambda *args: pytest.fail("public project"))
+    p = build_problem([Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0)])
+    calls.clear()
+    assert np.array_equal(montouch.cycles.classical_cycle(p), [1.0, 0.0, 4.0, 0.0])
+    assert calls == []
+    assert np.array_equal(montouch.cycles.classical_cycle(p, start=[2.0, 0.0]),
+                          [1.0, 0.0, 4.0, 0.0])
+    assert calls == [2]
 
 
 def test_composite_value_validates_once(validations, monkeypatch):

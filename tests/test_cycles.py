@@ -26,7 +26,6 @@ from helpers import (cyclic_shift, dense, isometry_defect, random_compact_set,
 from montouch import monotone
 from montouch.cycles import touching_pair
 from montouch.hilbert import form_eigenvalues
-from montouch.monotone import sum_prox
 
 
 def two_ball_problem():
@@ -342,16 +341,16 @@ def test_energy_identity_separates_cycles_from_noncycles():
 def test_verify_identities_without_classical_cycle(monkeypatch):
     p = two_ball_problem()
     sol = generalized_cycle(p)
-    calls = []
+    calls, real = [], monotone.SubspaceRestrictedOracle.resolvent
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return sum_prox(*args, **kwargs)
+        return real(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the verifier samples nothing")
 
-    monkeypatch.setattr(monotone, "sum_prox", counted)
+    monkeypatch.setattr(monotone.SubspaceRestrictedOracle, "resolvent", counted)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     report = verify_identities(p, sol)
     assert report.passed
@@ -382,7 +381,7 @@ def test_verify_identities_has_no_false_pass():
 
     def unit_residual(e):
         se = p.displacement @ e
-        back = sum_prox(p.support_sum, p.range_space, 1.0, se + e)
+        back = touching_pair(p)[0].resolvent(1.0, se + e)
         return float(np.linalg.norm(back - se)), 1e-6 * max(1.0, np.linalg.norm(se))
 
     probe, _ = unit_residual(sol.e + 1e-5 * delta)

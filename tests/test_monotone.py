@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import montouch
 from montouch import (
     Ball,
     Box,
@@ -22,8 +23,8 @@ from montouch import (
     minty_point,
     modulus_from_lambda,
     orthonormal_range,
-    sum_prox,
 )
+from montouch import monotone
 from montouch.hilbert import BlockCirculant
 from montouch.monotone import certified_lambda
 from helpers import (dense, random_gate_matrix, random_monotone_matrix, random_prox_function,
@@ -71,17 +72,6 @@ def test_linear_monotone_rejects_nonmonotone():
         LinearMonotoneOracle(np.diag([1e6, -1e-7]))
     # skew maps are monotone
     LinearMonotoneOracle(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-def test_subspace_restricted_matches_sum_prox():
-    fn = SeparableSum((Support(Box([-1.0], [1.0])), Support(Box([-2.0], [2.0]))))
-    oracle = SubspaceRestrictedOracle(fn, DIAGONAL)
-    assert oracle.dim == 2
-    x = np.array([3.0, -1.0])
-    out = oracle.resolvent(0.7, x)
-    assert np.allclose(out, sum_prox(fn, DIAGONAL, 0.7, x), atol=1e-9)
-    # ambient coordinates: the value lies on the diagonal
-    assert abs(out[0] - out[1]) <= 1e-12
 
 
 def test_resolvents_firmly_nonexpansive_sampled():
@@ -281,35 +271,42 @@ def test_unmonotone_certificate_is_unit_free(s):
         assert not holds, cert
 
 
-# ------------------------------------------------------------ sum_prox
+# ------------------------------------------- the restricted resolvent
+
+def restricted_prox(fn, subspace, lam, v):
+    """argmin_{z in subspace} fn(z) + ||z - v||^2 / (2 lam)."""
+    return SubspaceRestrictedOracle(fn, subspace).resolvent(lam, v)
+
 
 def test_sum_prox_box_meets_diagonal():
     fn = Indicator(Box([0.0, -math.inf], [2.0, math.inf]))
-    out = sum_prox(fn, DIAGONAL, 1.0, np.array([3.0, 3.0]))
+    out = restricted_prox(fn, DIAGONAL, 1.0, np.array([3.0, 3.0]))
     assert np.allclose(out, [2.0, 2.0], atol=1e-9)
     # step size does not matter for indicators
-    out = sum_prox(fn, DIAGONAL, 0.05, np.array([3.0, 3.0]))
+    out = restricted_prox(fn, DIAGONAL, 0.05, np.array([3.0, 3.0]))
     assert np.allclose(out, [2.0, 2.0], atol=1e-9)
 
 
 def test_sum_prox_zero_function_projects():
     fn = zero_function(2)
     v = np.array([3.0, 1.0])
-    out = sum_prox(fn, DIAGONAL, 1.0, v)
+    out = restricted_prox(fn, DIAGONAL, 1.0, v)
     assert np.allclose(out, [2.0, 2.0], atol=1e-11)
 
 
-def test_sum_prox_infeasible_raises():
+def test_sum_prox_infeasible_raises(monkeypatch):
     # box [2,3]^2 never meets the antidiagonal line
+    monkeypatch.setattr(monotone, "SUM_PROX_MAX_ITER", 2000)
     fn = Indicator(Box([2.0, 2.0], [3.0, 3.0]))
-    with pytest.raises(ConvergenceError) as info:
-        sum_prox(fn, ANTIDIAGONAL, 1.0, np.zeros(2), max_iter=2000)
+    with pytest.raises(ConvergenceError, match="within 2000 Dykstra steps") as info:
+        restricted_prox(fn, ANTIDIAGONAL, 1.0, np.zeros(2))
     assert info.value.residual > 1e-3
+    assert info.value.iterations == 2000
 
 
 def test_sum_prox_rejects_bad_step():
     with pytest.raises(ValueError):
-        sum_prox(zero_function(2), DIAGONAL, 0.0, np.zeros(2))
+        restricted_prox(zero_function(2), DIAGONAL, 0.0, np.zeros(2))
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
@@ -320,7 +317,6 @@ def test_every_resolvent_rejects_bad_steps(lam):
         lambda: LinearMonotoneOracle(np.diag([1.0, 3.0])).resolvent(lam, x),
         lambda: SubdifferentialOracle(fn).resolvent(lam, x),
         lambda: SubspaceRestrictedOracle(fn, DIAGONAL).resolvent(lam, x),
-        lambda: sum_prox(fn, DIAGONAL, lam, x),
     )
     for call in calls:
         with pytest.raises(ValueError, match="step must be positive and finite"):
@@ -336,7 +332,7 @@ def test_sum_prox_optimality_sampled():
         ))
         lam = float(10.0 ** rng.uniform(-0.5, 0.5))
         v = 3.0 * rng.normal(size=2)
-        z = sum_prox(fn, DIAGONAL, lam, v, tol=1e-12)
+        z = restricted_prox(fn, DIAGONAL, lam, v)
         fz = fn.value(z)
         for _ in range(50):
             w = DIAGONAL.basis @ (DIAGONAL.basis.T @ (z + rng.normal(size=2)))
@@ -346,6 +342,43 @@ def test_sum_prox_optimality_sampled():
 
 def test_sum_prox_output_in_subspace():
     fn = SeparableSum((Support(Box([-1.0], [1.0])), Support(Box([-1.0], [1.0]))))
-    z = sum_prox(fn, DIAGONAL, 1.0, np.array([2.0, -1.0]))
+    z = restricted_prox(fn, DIAGONAL, 1.0, np.array([2.0, -1.0]))
     # z lies in the diagonal up to machine precision
     assert abs(z[0] - z[1]) <= 1e-12
+    fn = SeparableSum((Support(Box([-1.0], [1.0])), Support(Box([-2.0], [2.0]))))
+    oracle = SubspaceRestrictedOracle(fn, DIAGONAL)
+    assert oracle.dim == 2
+    # ambient coordinates: the value lies on the diagonal
+    z = oracle.resolvent(0.7, np.array([3.0, -1.0]))
+    assert abs(z[0] - z[1]) <= 1e-12
+
+
+def test_restricted_resolvent_is_bitwise_public_dykstra():
+    # the same steps through the public prox and np.linalg.norm
+    def reference(fn, subspace, lam, v):
+        x, p = np.array(v, dtype=float), np.zeros(len(v))
+        while True:
+            y = fn.prox(lam, x + p)
+            p = x + p - y
+            x_next = subspace.project(y)
+            residual = max(np.linalg.norm(x_next - x), np.linalg.norm(y - x_next))
+            x = x_next
+            if residual <= 1e-11 * max(1.0, np.linalg.norm(x)):
+                return x
+
+    rng = np.random.default_rng(83)
+    cycle = build_problem([Ball([0.0, 0.0], 1.0), Ball([6.0, 0.0], 1.0),
+                           Ball([3.0, 5.0], 1.0)])
+    cases = [(cycle.support_sum, cycle.range_space),
+             (SeparableSum((Support(Box([-1.0], [1.0])), ScaledSquare(1.0, 1))), DIAGONAL)]
+    for fn, subspace in cases:
+        oracle = SubspaceRestrictedOracle(fn, subspace)
+        for _ in range(10):
+            lam, x = float(10.0 ** rng.uniform(-1, 1)), 4.0 * rng.normal(size=oracle.dim)
+            assert oracle.resolvent(lam, x).tobytes() == reference(fn, subspace, lam, x).tobytes()
+
+
+def test_sum_prox_is_gone():
+    # the restricted oracle's resolvent is the one route to Dykstra's scheme
+    assert not hasattr(montouch, "sum_prox") and "sum_prox" not in montouch.__all__
+    assert not hasattr(monotone, "sum_prox")

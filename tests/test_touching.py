@@ -18,7 +18,9 @@ from montouch import (
     SingularOperatorError,
     SubdifferentialOracle,
     build_problem,
+    classical_cycle,
     fixed_point,
+    generalized_cycle,
     invert,
     is_mu_unmonotone,
     modulus_from_lambda,
@@ -135,6 +137,23 @@ def test_touch_iteration_cap():
     assert math.isfinite(info.value.residual)
     with pytest.raises(ValueError, match="max_iter"):
         touch(ShiftedAbsOracle(), [[-1.0]], 0.5, max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_every_solver_refuses_a_bad_tol(tol):
+    # nan and -1 ran to the cap ("last residual 0.000e+00"), inf returned
+    # the start point and classical_cycle returned None
+    oracle = SubdifferentialOracle(Indicator(Ball([3.0, 0.0], 1.0)))
+    problem = build_problem([Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0)])
+    calls = (
+        lambda: touch(oracle, -np.eye(2), 0.5, tol=tol, max_iter=2000),
+        lambda: fixed_point(oracle, -np.eye(2), 0.5, tol=tol, max_iter=2000),
+        lambda: generalized_cycle(problem, tol=tol, max_iter=2000),
+        lambda: classical_cycle(problem, tol=tol, max_iter=2000),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call()
 
 
 def test_touch_refuses_a_q_no_step_contracts():
