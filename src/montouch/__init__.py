@@ -16,7 +16,6 @@ from .convex import (
 )
 from .cycles import (
     CycleProblem,
-    CycleSolution,
     build_problem,
     classical_cycle,
     generalized_cycle,
@@ -55,7 +54,6 @@ __all__ = [
     "ConvexSet",
     "ConvergenceError",
     "CycleProblem",
-    "CycleSolution",
     "DegenerateProblemError",
     "Halfspace",
     "Indicator",

@@ -8,8 +8,9 @@ fixed-point       --problem FILE           the same solve as touch
 cycle             --problem FILE           generalized cycle / gap vector
 verify            --problem FILE           the same plus the classical sweep
 
-A solve reads its tolerance and iteration cap from the problem file's
-solver block and nowhere else, and the report goes to stdout only.
+Every solve command runs ``cycles.generalized_cycle`` once, with the
+tolerance and iteration cap of the problem file's solver block (the
+library's defaults where it sets none); the report goes to stdout only.
 
 Exit status: 0 the run passed its checks, 1 input or usage error, 2 a solver
 hit its iteration cap, 3 the run completed but a check failed.  Reports are
@@ -23,34 +24,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import AffineSet, Ball, Box, Halfspace, Singleton
-from .cycles import (
-    CYCLE_LAM,
-    build_problem,
-    classical_cycle,
-    generalized_cycle,
-    touching_pair,
-    verify_identities,
-)
+from .cycles import build_problem, classical_cycle, generalized_cycle, verify_identities
 from .errors import ConvergenceError, ParseError
 from .hilbert import as_operator, orthonormal_range, scaled_tol
 from .monotone import is_mu_unmonotone
-from .touching import PASS_TOL, touch
-
-@dataclass
-class SolverSettings:
-    tolerance: float = 1e-10
-    max_iterations: int = 100000
-
-
-@dataclass
-class ProblemSpec:
-    sets: list
-    solver: SolverSettings = field(default_factory=SolverSettings)
+from .touching import PASS_TOL
 
 
 @dataclass
@@ -143,6 +126,11 @@ def _max_iterations(value):
     return value
 
 
+# solver block key -> (keyword of generalized_cycle, check)
+_SOLVER_KEYS = {"tolerance": ("tol", _tolerance),
+                "max_iterations": ("max_iter", _max_iterations)}
+
+
 def _vector_field(entry, key, dim, where, unbounded=None):
     """A list of ``dim`` finite numbers; ``unbounded`` (-inf for a box's
     lower bound, +inf for its upper) is the one infinity a field may hold."""
@@ -216,7 +204,9 @@ def _load_json(path):
 
 
 def parse_problem(path):
-    """Read and validate a problem file; ParseError names the bad field."""
+    """Read and validate a problem file into (sets, limits, digest);
+    ``limits`` holds only the solver keys the file sets, as keywords of
+    ``generalized_cycle``.  ParseError names the bad field."""
     doc, digest = _load_json(path)
     _require(isinstance(doc, dict), "problem file must contain a JSON object")
     _require("base_dimension" in doc, "base_dimension is missing")
@@ -228,21 +218,13 @@ def parse_problem(path):
              "sets must be a list with at least two entries")
     sets = [_build_set(entry, dim, f"sets[{i}]") for i, entry in enumerate(raw_sets)]
 
-    solver = asdict(SolverSettings())
     raw_solver = doc.get("solver", {})
     _require(isinstance(raw_solver, dict), "solver must be an object")
     for key in raw_solver:
-        _require(key in solver, f"solver.{key} is not a recognised option")
-    solver.update(raw_solver)
-
-    spec = ProblemSpec(
-        sets=sets,
-        solver=SolverSettings(
-            tolerance=_tolerance(solver["tolerance"]),
-            max_iterations=_max_iterations(solver["max_iterations"]),
-        ),
-    )
-    return spec, digest
+        _require(key in _SOLVER_KEYS, f"solver.{key} is not a recognised option")
+    limits = {name: check(raw_solver[key])
+              for key, (name, check) in _SOLVER_KEYS.items() if key in raw_solver}
+    return sets, limits, digest
 
 
 def parse_matrix(path):
@@ -278,28 +260,24 @@ def _check_unmonotone(matrix, mu):
     return outputs, {"max_eig": cert.max_eig}, bool(holds), 0
 
 
-def _solve(command, problem, solver):
+def _solve(command, problem, limits):
     """Outputs, residuals, pass and iterations of one solve command."""
-    limits = {"tol": solver.tolerance, "max_iter": solver.max_iterations}
+    res = generalized_cycle(problem, **limits)
     if command in ("touch", "fixed-point"):
-        # fixed-point is touch on Q = T^{-1}: the same solve as the cycle's
-        oracle, q = touching_pair(problem)
-        res = touch(oracle, q, CYCLE_LAM, **limits)
+        # fixed-point is touch on Q = T^{-1}: the cycle's own solve
         outputs = {"d": res.d, "e": res.e, "gamma": res.gamma, "rho": res.rho}
         residuals = {"graph_residual": res.graph_residual,
                      "error_bound": res.error_bound}
         passed = res.error_bound <= scaled_tol(PASS_TOL, math.sqrt(res.d.dot(res.d)))
         return outputs, residuals, passed, res.iterations
-    if command not in ("cycle", "verify"):
-        raise ParseError(f"unknown command {command!r}")
-    solution = generalized_cycle(problem, **limits)
+    # cycle and verify print d = S e, the point verify_identities certifies
+    classical = classical_cycle(problem, **limits) if command == "verify" else None
+    report = verify_identities(problem, res.e, classical)
+    outputs = {"d": problem.displacement @ res.e, "e": res.e,
+               "thresholds": report.thresholds}
     if command == "verify":
-        solution.classical_cycle = classical_cycle(problem, **limits)
-    report = verify_identities(problem, solution)
-    outputs = {"d": solution.d, "e": solution.e, "thresholds": report.thresholds}
-    if command == "verify":
-        outputs["classical_cycle"] = solution.classical_cycle
-    return outputs, report.residuals, report.passed, solution.iterations
+        outputs["classical_cycle"] = classical
+    return outputs, report.residuals, report.passed, res.iterations
 
 
 def execute(command, args):
@@ -309,8 +287,8 @@ def execute(command, args):
         matrix, digest = parse_matrix(args.matrix)
         result = _check_unmonotone(matrix, args.mu)
     else:
-        spec, digest = parse_problem(args.problem)
-        result = _solve(command, build_problem(spec.sets), spec.solver)
+        sets, limits, digest = parse_problem(args.problem)
+        result = _solve(command, build_problem(sets), limits)
     return Report(command, digest, *result,
                   wall_time_ms=(time.perf_counter() - t0) * 1000.0)
 

@@ -12,13 +12,14 @@ unique e in ran S with e in dg(S e) for g = (summed support functions) +
 (indicator of ran S); the generalized gap vector is d = S e.  When the sets
 admit a classical projection cycle x, S x = S e ties the two notions
 together.  With Q = T^{-1} the cycle is the touching point d = S e, e = Q d
-of that subdifferential and Q (``touching_pair``); ``build_problem`` stores
-Q directly, as the reciprocal of T's spectrum.  Q is a normal circulant
-with sym(Q) = -I/2 and ||Q|| = 1/(2 sin(pi/N)), so its step norm is
-||I + gamma Q||^2 = 1 - gamma + gamma^2 ||Q||^2, smallest at the step
-2 sin^2(pi/N), where rho = cos(pi/N).  ``verify_identities`` certifies any e
-with the touching error bound alone, and ties an attached classical cycle to
-it by S x = S e.
+of that subdifferential and Q (``touching_pair``), and ``generalized_cycle``
+returns ``touch``'s ``TouchResult`` on that pair, certificate included.
+``build_problem`` stores Q directly, as the reciprocal of T's spectrum.  Q is
+a normal circulant with sym(Q) = -I/2 and ||Q|| = 1/(2 sin(pi/N)), so its
+step norm is ||I + gamma Q||^2 = 1 - gamma + gamma^2 ||Q||^2, smallest at the
+step 2 sin^2(pi/N), where rho = cos(pi/N).  ``verify_identities`` certifies
+any e with the touching error bound alone, and ties a given classical cycle
+to it by S x = S e.
 """
 
 import math
@@ -69,18 +70,6 @@ class CycleProblem:
     support_sum: SeparableSum
 
 
-@dataclass
-class CycleSolution:
-    """Generalized cycle ``e``, gap vector ``d`` = S e (both in R^{Nm}),
-    and an optional classical projection cycle; ``verify_identities``
-    certifies it."""
-
-    e: np.ndarray
-    d: np.ndarray
-    classical_cycle: np.ndarray = None
-    iterations: int = 0
-
-
 def build_problem(sets):
     """Assemble the product-space problem for two or more sets of equal
     dimension.
@@ -120,24 +109,21 @@ def touching_pair(problem):
     """The cycle as a touching problem (oracle, Q): the subdifferential of
     the support sum restricted to ran S, and Q = T^{-1}.
 
-    ``generalized_cycle`` solves this pair, ``verify_identities`` certifies
-    it and the CLI's ``touch`` and ``fixed-point`` run it, so all of them
-    step and certify with the same Q.
+    ``generalized_cycle`` solves this pair and ``verify_identities``
+    certifies it, so both step and certify with the same Q.
     """
     return SubspaceRestrictedOracle(problem.support_sum, problem.range_space), problem.q
 
 
 def generalized_cycle(problem, tol=1e-10, max_iter=100000):
-    """Compute the generalized cycle and gap vector of the family.
+    """Solve for the generalized cycle and gap vector of the family.
 
-    Solves the fixed-point problem e in (subdifferential of the support
-    sum restricted to ran S)(T e) as the touching problem of
-    ``touching_pair``, whose touching point is d = S e with e = Q d;
-    ``verify_identities`` checks the result.
+    e in (subdifferential of the support sum restricted to ran S)(T e) is the
+    touching problem of ``touching_pair``, whose ``TouchResult`` is returned
+    as is: ``d`` the gap vector (S e up to rounding), ``e`` = Q d the cycle,
+    and ``error_bound`` >= ||d - d*|| at the step ``gamma``, factor ``rho``.
     """
-    result = touch(*touching_pair(problem), CYCLE_LAM, tol=tol, max_iter=max_iter)
-    e = result.e
-    return CycleSolution(e=e, d=problem.displacement @ e, iterations=result.iterations)
+    return touch(*touching_pair(problem), CYCLE_LAM, tol=tol, max_iter=max_iter)
 
 
 def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
@@ -149,8 +135,11 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
     i > 1.  The wrap-around x_1 = P_1(x_N) is off by at most
     ||T z - z|| <= tol max(1, ||z||) for the nonexpansive sweep T;
     ``verify_identities`` checks x independently through S x = S e.
-    A ``tol`` that is not positive and finite is a ValueError.
+    A ``tol`` that is not positive and finite, or a ``max_iter`` below 1,
+    is a ValueError.
     """
+    if int(max_iter) < 1:
+        raise ValueError("max_iter must be at least 1")
     m = problem.base_dim
     tol = as_positive(tol, "tol")
     z = np.zeros(m) if start is None else as_vector(start, dim=m)
@@ -172,15 +161,15 @@ def classical_cycle(problem, start=None, tol=1e-10, max_iter=100000):
     return np.concatenate(xs)
 
 
-def verify_identities(problem, solution):
-    """Certify a generalized cycle, and a classical cycle when one is attached.
+def verify_identities(problem, e, classical=None):
+    """Certify a generalized cycle ``e``, and a classical cycle when given.
 
     The generalized cycle is characterised by the inclusion e in dg(S e)
     for g = (summed support functions) + (indicator of ran S), the touching
     inclusion of the module docstring.  One resolvent call certifies it, with
     lam and beta derived from the problem.
 
-    Residuals (``classical_shift_gap`` only when a classical cycle is attached):
+    Residuals (``classical_shift_gap`` only when ``classical`` is given):
 
     - ``error_bound``: ||F(S e) - S e|| / (1 - rho) >= ||S e - d*||,
       threshold 1e-6 max(1, ||Se||)
@@ -191,7 +180,7 @@ def verify_identities(problem, solution):
       ``classical_cycle`` has already checked that x is a projection cycle
     """
     s = problem.displacement
-    e = as_vector(solution.e, dim=s.shape[0])
+    e = as_vector(e, dim=s.shape[0])
     se = s @ e
     threshold = scaled_tol(PASS_TOL, math.sqrt(se.dot(se)))
 
@@ -205,8 +194,8 @@ def verify_identities(problem, solution):
         "range_membership": scaled_tol(1e-9, math.sqrt(e.dot(e))),
     }
 
-    if solution.classical_cycle is not None:
-        x = as_vector(solution.classical_cycle, dim=s.shape[0])
+    if classical is not None:
+        x = as_vector(classical, dim=s.shape[0])
         residuals["classical_shift_gap"] = float(np.linalg.norm(s @ x - se))
         thresholds["classical_shift_gap"] = threshold
 

@@ -6,6 +6,9 @@ input file (all keys except wall_time_ms).
 """
 
 import argparse
+import contextlib
+import inspect
+import io
 import json
 import math
 import os
@@ -18,9 +21,11 @@ import numpy as np
 import pytest
 
 from montouch import (
+    TouchResult,
     build_problem,
     classical_cycle,
     cli,
+    cycles,
     generalized_cycle,
     monotone,
     verify_identities,
@@ -67,22 +72,33 @@ def strict_json(text):
 # ---------------------------------------------------------------- parsing
 
 def test_parse_problem_reads_sets_and_solver():
-    spec, digest = cli.parse_problem(TWO_BALL)
-    assert [s.ambient_dim for s in spec.sets] == [2, 2]
-    assert spec.solver.tolerance == 1e-10
-    assert spec.solver.max_iterations == 100000
+    sets, limits, digest = cli.parse_problem(TWO_BALL)
+    assert [s.ambient_dim for s in sets] == [2, 2]
+    assert limits == {"tol": 1e-10, "max_iter": 100000}
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
-def test_parse_problem_solver_defaults(tmp_path):
-    path = write_json(tmp_path, "p.json", {
-        "base_dimension": 1,
-        "sets": [{"type": "singleton", "point": [0.0]},
-                 {"type": "singleton", "point": [1.0]}],
-    })
-    spec, _ = cli.parse_problem(path)
-    assert spec.solver.tolerance == cli.SolverSettings().tolerance
-    assert spec.solver.max_iterations == cli.SolverSettings().max_iterations
+def test_parse_problem_solver_defaults(tmp_path, capsys):
+    # a key the solver block leaves out is left to generalized_cycle's default
+    doc = {"base_dimension": 1,
+           "sets": [{"type": "singleton", "point": [0.0]},
+                    {"type": "singleton", "point": [1.0]}]}
+    _, limits, _ = cli.parse_problem(write_json(tmp_path, "p.json", doc))
+    assert limits == {}
+    doc["solver"] = {"max_iterations": 7}
+    _, limits, _ = cli.parse_problem(write_json(tmp_path, "p.json", doc))
+    assert limits == {"max_iter": 7}
+    # so a file without a solver block solves exactly as one that spells out
+    # the library's defaults
+    defaults = inspect.signature(generalized_cycle).parameters
+    explicit = with_solver(tmp_path, THREE_BALL,
+                           tolerance=defaults["tol"].default,
+                           max_iterations=defaults["max_iter"].default)
+    for command in SOLVE_COMMANDS:
+        a, b = (json.loads(run_cli(capsys, command, "--problem", path)[1])
+                for path in (THREE_BALL, explicit))
+        assert a.pop("inputs_digest") != b.pop("inputs_digest")
+        assert strip_timing(a) == strip_timing(b), command
 
 
 @pytest.mark.parametrize("doc, fragment", [
@@ -361,6 +377,42 @@ def test_product_space_commands_skip_dense_linear_algebra(capsys, monkeypatch):
         assert code == 0, command
 
 
+@pytest.mark.parametrize("command", SOLVE_COMMANDS)
+def test_every_solve_command_runs_one_generalized_cycle(capsys, monkeypatch, command):
+    # one route: the CLI reaches touch only through generalized_cycle, once,
+    # and reports from the TouchResult it returns
+    calls, results = [], []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            result = real(*args, **kwargs)
+            if name == "generalized_cycle":
+                results.append(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(cli, "generalized_cycle",
+                        counted("generalized_cycle", cycles.generalized_cycle))
+    monkeypatch.setattr(cycles, "touch", counted("touch", cycles.touch))
+    code, out, _ = run_cli(capsys, command, "--problem", THREE_BALL)
+    assert code == 0
+    assert calls == ["generalized_cycle", "touch"]
+    assert not hasattr(cli, "touch")
+    (res,) = results
+    assert isinstance(res, TouchResult)
+    doc = json.loads(out)
+    assert doc["iterations"] == res.iterations
+    assert doc["outputs"]["e"] == res.e.tolist()
+    if command in ("touch", "fixed-point"):
+        assert doc["outputs"]["d"] == res.d.tolist()
+        assert doc["residuals"]["error_bound"] == res.error_bound
+    else:
+        # the point printed is the point verify_identities certifies
+        sets, _, _ = cli.parse_problem(THREE_BALL)
+        assert doc["outputs"]["d"] == (build_problem(sets).displacement @ res.e).tolist()
+
+
 def test_verify_command_full_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "--problem", TWO_BALL)
     doc = json.loads(out)
@@ -502,12 +554,11 @@ def test_verify_passes_on_unbounded_strip(capsys, tmp_path, bound):
     doc = strict_json(out)
     assert code == 0 and set(doc["residuals"]) == {"error_bound", "range_membership"}
 
-    spec, _ = cli.parse_problem(path)
-    problem = build_problem(spec.sets)
-    solution = generalized_cycle(problem)
-    solution.classical_cycle = classical_cycle(problem)
-    assert solution.classical_cycle is not None
-    assert verify_identities(problem, solution).passed
+    sets, _, _ = cli.parse_problem(path)
+    problem = build_problem(sets)
+    classical = classical_cycle(problem)
+    assert classical is not None
+    assert verify_identities(problem, generalized_cycle(problem).e, classical).passed
 
 
 @pytest.mark.parametrize("spanning", [[[1.0, 0.0], [2.0, 0.0]], None])
@@ -626,8 +677,9 @@ def test_reports_are_strict_json(capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise ConvergenceError("non-finite iterate", residual=math.nan, iterations=1)
 
-    monkeypatch.setattr(cli, "touch", diverge)
-    code, out, _ = run_cli(capsys, "touch", "--problem", TWO_BALL)
+    with monkeypatch.context() as patch:
+        patch.setattr(cycles, "touch", diverge)
+        code, out, _ = run_cli(capsys, "touch", "--problem", TWO_BALL)
     assert code == 2
     doc = strict_json(out)
     assert doc["residual"] is None and doc["nonfinite"] == ["residual"]
@@ -677,6 +729,26 @@ def test_cycle_report_matches_golden_file(capsys):
     frozen = json.loads((GOLDEN / "two_ball_cycle.json").read_text())
     _, out, _ = run_cli(capsys, "cycle", "--problem", TWO_BALL)
     assert strip_timing(json.loads(out)) == strip_timing(frozen)
+
+
+def library_example_blocks():
+    section = README.read_text(encoding="utf-8").split("## Library example")[1]
+    section = section.split("\n## ")[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def test_readme_library_example_runs():
+    # the blocks run in order in one namespace, as a reader would paste them
+    blocks = library_example_blocks()
+    assert len(blocks) >= 2
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    printed = out.getvalue().splitlines()
+    assert "True" in printed
+    assert "False" not in printed
+    assert isinstance(namespace["solution"], TouchResult)
 
 
 def test_console_entry_point_runs():

@@ -1,5 +1,6 @@
 """Product-space cycles: construction invariants, frozen instances, identities."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from montouch import (
     Ball,
     Box,
-    CycleSolution,
     DegenerateProblemError,
     Halfspace,
     Singleton,
     SingularOperatorError,
+    TouchResult,
     build_problem,
     classical_cycle,
     generalized_cycle,
@@ -21,8 +22,8 @@ from montouch import (
     touch,
     verify_identities,
 )
-from helpers import (cyclic_shift, dense, isometry_defect, random_compact_set,
-                     top_sym_eigenvalue)
+from helpers import (cyclic_shift, dense, isometry_defect, random_ball, random_box,
+                     random_compact_set, top_sym_eigenvalue)
 from montouch import monotone
 from montouch.cycles import touching_pair
 from montouch.hilbert import form_eigenvalues
@@ -154,7 +155,7 @@ def test_two_ball_generalized_cycle_matches_geometry():
     sol = generalized_cycle(p)
     assert np.linalg.norm(sol.d - d_expected) <= 1e-7
     assert np.linalg.norm(sol.e - e_expected) <= 1e-7
-    assert verify_identities(p, sol).passed
+    assert verify_identities(p, sol.e).passed
 
 
 def test_two_ball_cycle_is_one_exact_step():
@@ -164,9 +165,9 @@ def test_two_ball_cycle_is_one_exact_step():
     _, _, d_expected, e_expected = two_ball_oracle()
     sol = generalized_cycle(p)
     assert sol.iterations == 1
-    assert np.array_equal(sol.d, d_expected)
+    assert np.array_equal(p.displacement @ sol.e, d_expected)
     assert np.array_equal(sol.e, e_expected)
-    assert verify_identities(p, sol).residuals["error_bound"] == 0.0
+    assert verify_identities(p, sol.e).residuals["error_bound"] == 0.0
 
 
 def test_cycle_keeps_the_closed_form_step():
@@ -181,7 +182,7 @@ def test_cycle_keeps_the_closed_form_step():
         assert res.iterations == 0
         assert res.gamma == pytest.approx(2.0 * math.sin(math.pi / n) ** 2, abs=1e-12)
         assert res.rho == pytest.approx(math.cos(math.pi / n), abs=1e-12)
-        assert verify_identities(p, CycleSolution(e=res.e, d=res.d)).passed
+        assert verify_identities(p, res.e).passed
     assert res.rho > 0.98  # N = 20
     p = build_problem([Singleton([0.0])] * 2)
     assert touch(*touching_pair(p), 0.5).rho == 0.0
@@ -193,6 +194,36 @@ def test_two_ball_classical_cycle():
     x = classical_cycle(p)
     assert x is not None
     assert np.linalg.norm(x - np.concatenate([x1, x2])) <= 1e-7
+
+
+def test_generalized_cycle_returns_its_touch_result():
+    # the cycle is touch on touching_pair, certificate and all
+    p = five_ball_problem()
+    for tol in (1e-10, 1e-6):
+        sol = generalized_cycle(p, tol=tol)
+        assert isinstance(sol, TouchResult)
+        assert sol.iterations > 0
+        assert 0.0 < sol.error_bound <= tol * max(1.0, np.linalg.norm(sol.d))
+        assert sol.rho == pytest.approx(math.cos(math.pi / 5), abs=1e-12)
+        assert sol.gamma == pytest.approx(2.0 * math.sin(math.pi / 5) ** 2, abs=1e-12)
+        res = touch(*touching_pair(p), 0.5, tol=tol)
+        assert np.array_equal(sol.d, res.d) and np.array_equal(sol.e, res.e)
+        assert sol.error_bound == res.error_bound
+
+
+@pytest.mark.parametrize("make, dim, n", [(random_ball, 2, 3), (random_ball, 2, 5),
+                                          (random_box, 3, 3), (random_box, 3, 4)])
+@pytest.mark.parametrize("seed", [100, 101, 102])
+def test_generalized_cycle_error_bound_covers_the_true_error(monkeypatch, make, dim,
+                                                             n, seed):
+    # the reference is solved 1000x tighter, with Dykstra's stop 1000x tighter
+    # than the shipped one, so its own error is negligible at the default tol
+    rng = np.random.default_rng(seed)
+    p = build_problem([make(rng, dim) for _ in range(n)])
+    sol = generalized_cycle(p)
+    monkeypatch.setattr(monotone, "SUM_PROX_TOL", 1e-14)
+    ref = generalized_cycle(p, tol=1e-13)
+    assert np.linalg.norm(sol.d - ref.d) <= sol.error_bound
 
 
 def test_cycle_solution_structural_invariants():
@@ -281,8 +312,7 @@ def test_two_ball_identities_with_exact_arithmetic():
 def test_verify_identities_two_ball_report():
     p = two_ball_problem()
     sol = generalized_cycle(p)
-    sol.classical_cycle = classical_cycle(p)
-    report = verify_identities(p, sol)
+    report = verify_identities(p, sol.e, classical_cycle(p))
     assert report.passed
     assert report.residuals["classical_shift_gap"] <= report.thresholds["classical_shift_gap"]
     assert set(report.residuals) == {"error_bound", "range_membership",
@@ -290,27 +320,24 @@ def test_verify_identities_two_ball_report():
     assert report.residuals["error_bound"] <= report.thresholds["error_bound"]
     # one exact step, rho = 0
     assert report.residuals["error_bound"] == 0.0
-    assert report.thresholds["error_bound"] == 1e-6 * np.linalg.norm(sol.d)
+    assert report.thresholds["error_bound"] == 1e-6 * np.linalg.norm(p.displacement @ sol.e)
 
 
 def test_verify_identities_flags_perturbed_solution():
     p = two_ball_problem()
-    sol = generalized_cycle(p)
-    sol.classical_cycle = classical_cycle(p)
-    e_good = sol.e
+    e_good = generalized_cycle(p).e
+    classical = classical_cycle(p)
     # a shift off the range of S is caught by the membership residual
-    sol.e = e_good + 1e-3
-    report = verify_identities(p, sol)
+    report = verify_identities(p, e_good + 1e-3, classical)
     assert not report.passed
     assert report.residuals["range_membership"] > 1e-9
     # a shift inside the range is caught by the classical gap
-    sol.e = e_good + 1e-3 * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
-    report = verify_identities(p, sol)
+    e = e_good + 1e-3 * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
+    report = verify_identities(p, e, classical)
     assert not report.passed
     # without a classical cycle, the derived error bound alone catches it
-    sol.classical_cycle = None
-    sol.e = e_good + 1e-5 * np.array([0.0, 1.0, 0.0, -1.0]) / np.sqrt(2.0)
-    report = verify_identities(p, sol)
+    e = e_good + 1e-5 * np.array([0.0, 1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    report = verify_identities(p, e)
     assert not report.passed
     assert [k for k in report.residuals
             if report.residuals[k] > report.thresholds[k]] == ["error_bound"]
@@ -352,7 +379,7 @@ def test_verify_identities_without_classical_cycle(monkeypatch):
 
     monkeypatch.setattr(monotone.SubspaceRestrictedOracle, "resolvent", counted)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    report = verify_identities(p, sol)
+    report = verify_identities(p, sol.e)
     assert report.passed
     assert len(calls) == 1
     assert "classical_shift_gap" not in report.residuals
@@ -385,13 +412,14 @@ def test_verify_identities_has_no_false_pass():
         return float(np.linalg.norm(back - se)), 1e-6 * max(1.0, np.linalg.norm(se))
 
     probe, _ = unit_residual(sol.e + 1e-5 * delta)
-    threshold = 1e-6 * max(1.0, np.linalg.norm(sol.d))
+    se = p.displacement @ sol.e
+    threshold = 1e-6 * max(1.0, np.linalg.norm(se))
     e = sol.e + 0.9 * threshold * 1e-5 / probe * delta
     residual, threshold = unit_residual(e)
     assert 0.85 * threshold <= residual <= threshold
 
-    report = verify_identities(p, CycleSolution(e=e, d=p.displacement @ e))
-    distance = np.linalg.norm(p.displacement @ e - sol.d)
+    report = verify_identities(p, e)
+    distance = np.linalg.norm(p.displacement @ e - se)
     assert distance > 1.5 * threshold
     assert not report.passed
     assert report.residuals["error_bound"] >= distance
@@ -405,12 +433,11 @@ def test_verify_identities_bound_covers_the_true_error():
     for n in (3, 5, 6, 10, 20):
         p = build_problem([random_compact_set(rng, 2) for _ in range(n)])
         tight = p.range_space.project(classical_cycle(p, tol=1e-14))
-        reference = verify_identities(
-            p, CycleSolution(e=tight, d=p.displacement @ tight))
+        reference = verify_identities(p, tight)
         assert reference.passed, n
         for seed in range(3):
             e = tight + 1e-4 * in_range_direction(p, seed)
-            report = verify_identities(p, CycleSolution(e=e, d=p.displacement @ e))
+            report = verify_identities(p, e)
             distance = np.linalg.norm(p.displacement @ (e - tight))
             assert distance <= (report.residuals["error_bound"]
                                 + reference.residuals["error_bound"]), n
@@ -419,9 +446,16 @@ def test_verify_identities_bound_covers_the_true_error():
 def test_verify_identities_certifies_caller_built_solutions():
     p = five_ball_problem()
     sol = generalized_cycle(p)
-    built = verify_identities(p, CycleSolution(e=sol.e, d=sol.d))
+    # the verifier reads only e, so a caller's own copy certifies the same
+    built = verify_identities(p, sol.e.tolist())
     assert built.passed
     assert built.residuals["error_bound"] <= built.thresholds["error_bound"]
-    assert built.residuals == verify_identities(p, sol).residuals
+    assert built.residuals == verify_identities(p, sol.e).residuals
     e = sol.e + 1e-4 * in_range_direction(p, 1)
-    assert not verify_identities(p, CycleSolution(e=e, d=p.displacement @ e)).passed
+    assert not verify_identities(p, e).passed
+
+
+def test_verify_identities_signature():
+    assert list(inspect.signature(verify_identities).parameters) == [
+        "problem", "e", "classical"]
+    assert inspect.signature(verify_identities).parameters["classical"].default is None

@@ -156,6 +156,22 @@ def test_every_solver_refuses_a_bad_tol(tol):
             call()
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_every_solver_refuses_a_cap_below_one(max_iter):
+    # classical_cycle returned None here, as if its sweep had not settled
+    oracle = SubdifferentialOracle(Indicator(Ball([3.0, 0.0], 1.0)))
+    problem = build_problem([Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0)])
+    calls = (
+        lambda: touch(oracle, -np.eye(2), 0.5, max_iter=max_iter),
+        lambda: fixed_point(oracle, -np.eye(2), 0.5, max_iter=max_iter),
+        lambda: generalized_cycle(problem, max_iter=max_iter),
+        lambda: classical_cycle(problem, max_iter=max_iter),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            call()
+
+
 def test_touch_refuses_a_q_no_step_contracts():
     # lam = 1e-9 against ||Q|| = 1: the smallest rho^2 = 1 - 1e-18 rounds to
     # 1, so no step certifies anything; Q = 0 is within the gate's slack of
